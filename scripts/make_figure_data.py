@@ -2,6 +2,7 @@
 """Regenerate the CSV data behind every comparison figure.
 
 Writes one file per preset into the output directory (default ./figure_data).
+Presets on the same grid (fig5 and fig7) are swept once.
 """
 
 import argparse
@@ -27,10 +28,13 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = sweep.resolve_threads(args.threads)
 
+    swept = {}
     for name in args.presets:
         spec = sweep.figure_preset(name)
         t0 = time.perf_counter()
-        rows = sweep.run_sweep(spec, threads=threads)
+        if spec not in swept:
+            swept[spec] = sweep.run_sweep(spec, threads=threads)
+        rows = swept[spec]
         path = out_dir / f"{name}.csv"
         sweep.write_csv(rows, str(path))
         print(f"{name}: {len(rows)} rows -> {path} ({time.perf_counter() - t0:.1f}s)")

@@ -3,22 +3,27 @@
 A burst starts with a binomial number of pairs on each elementary link.
 Ascending the swapping hierarchy, an optional distillation step thins the
 count of each segment, and pairing two adjacent segments keeps the minimum
-of their counts.  Two tracks are maintained: the unconditional distributions
-``p``/``q`` and the conditional track ``p_cond``/``q_cond`` which, at each
-level, conditions on at least one pair surviving per segment.
+of their counts.  The recursion follows the conditional distributions
+``p_cond``/``q_cond`` which, at each level, condition on at least one pair
+surviving per segment.
 
 The per-level reset probabilities follow the termination bookkeeping in
 which a pairing of counts (0, 1) at a distilling level is excluded from the
 reset event, and levels without scheduled distillation never reset.  The
 pairing mass that this bookkeeping drops (instead of counting it as reset)
 is renormalized away and reported per level in ``mass_defect``.
+
+The recursion runs on ``(B, width + 1)`` arrays: one row per configuration,
+every row sharing the depth, width and distillation schedule.  Each step is
+row-wise (elementwise arithmetic, per-row sums and products), so a row comes
+out bit for bit the same whatever else shares its batch.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,43 +31,144 @@ from scipy.special import gammaln
 _MASS_TOL = 1e-10
 
 
-def _flush_subnormal(p: float) -> float:
+def _flush_subnormal(p):
     # log-space binomials overflow or lose the tail on subnormal inputs
-    return p if p == 0.0 or abs(p) >= sys.float_info.min else 0.0
+    return np.where(np.abs(p) >= sys.float_info.min, p, 0.0)
 
 
-def _binomial_row(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf over k = 0..n, evaluated in log space."""
-    p = _flush_subnormal(p)
-    if p == 0.0:
-        row = np.zeros(n + 1)
-        row[0] = 1.0
-        return row
-    if p == 1.0:
-        row = np.zeros(n + 1)
-        row[n] = 1.0
-        return row
-    k = np.arange(n + 1)
-    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    row = np.exp(log_comb + k * np.log(p) + (n - k) * np.log1p(-p))
-    return row / row.sum()
+def _binomial_rows(n: int, p: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) pmf over k = 0..n for each entry of ``p``, in log space."""
+    p = _flush_subnormal(np.asarray(p, dtype=np.float64))
+    rows = np.zeros((len(p), n + 1))
+    rows[p == 0.0, 0] = 1.0
+    rows[p == 1.0, n] = 1.0
+    inner = (p > 0.0) & (p < 1.0)
+    if inner.any():
+        pi = p[inner, None]
+        k = np.arange(n + 1)
+        log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        raw = np.exp(log_comb + k * np.log(pi) + (n - k) * np.log1p(-pi))
+        rows[inner] = raw / raw.sum(axis=1, keepdims=True)
+    return rows
 
 
-@lru_cache(maxsize=128)
-def _thinning_table(mmax: int, cap: int, d: float) -> np.ndarray:
-    """Rows m = 0..mmax of the Binomial(m, d) pmf over k = 0..cap.
+def _thinning_table(rows: int, cap: int, d: float) -> np.ndarray:
+    """Rows m = 0..rows-1 of the Binomial(m, d) pmf over k = 0..cap.
 
     Built by the Pascal recurrence, which only ever forms convex
-    combinations and is therefore exact to rounding.
+    combinations and is therefore exact to rounding.  Row m is zero past
+    k = m, so each step only touches its support.
     """
-    table = np.zeros((mmax + 1, cap + 1))
+    table = np.zeros((rows, cap + 1))
     table[0, 0] = 1.0
-    for m in range(mmax):
+    for m in range(rows - 1):
+        top = min(m + 1, cap) + 1
         row = table[m]
-        table[m + 1, : cap + 1] = (1.0 - d) * row
-        table[m + 1, 1 : cap + 1] += d * row[:cap]
-    table.flags.writeable = False
+        table[m + 1, :top] = (1.0 - d) * row[:top]
+        table[m + 1, 1:top] += d * row[: top - 1]
     return table
+
+
+def _row_means(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return (probs * values).sum(axis=1)
+
+
+def _check_rows(probs: np.ndarray, dead: np.ndarray, what: str) -> None:
+    """Every live row is finite, non-negative and of unit mass."""
+    # comparisons with NaN are false, and an infinite entry breaks the mass,
+    # so a row with a non-finite entry fails
+    ok = (probs >= 0.0).all(axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= _MASS_TOL)
+    bad = np.flatnonzero(~ok & ~dead)
+    if len(bad):
+        raise ValueError(f"{what}: row {bad[0]} is not a probability vector")
+
+
+def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
+    """Distillation thinning of each row; see ``distillation_thinning``."""
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"d must lie in [0, 1], got {d}")
+    mmax = (probs.shape[1] - 1) // 2
+    if cap < mmax:
+        raise ValueError(f"cap {cap} cannot hold up to {mmax} distilled pairs")
+    # group j in {2m, 2m+1}: both feed floor(j/2) = m attempts
+    grouped = probs[:, 0::2].copy()
+    odd = probs[:, 1::2]
+    grouped[:, : odd.shape[1]] += odd
+    # each row stops at its last group with mass: a table row costs a Pascal
+    # step, and most of the tail of a wide binomial underflows to zero
+    support = [len(g) - np.argmax(g[::-1] != 0.0) for g in grouped]
+    table = _thinning_table(max(support), cap, float(_flush_subnormal(d)))
+    # one vector-matrix product per row: a matrix product would round a row
+    # differently depending on the batch around it
+    out = np.stack([g[:s] @ table[:s] for g, s in zip(grouped, support)])
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _paired_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized min(K1, K2) of two i.i.d. rows, and each row's upper tail."""
+    cum = np.cumsum(q, axis=1)
+    tail = cum[:, -1:] - cum  # sum_{j > k} q_j
+    return q * q + 2.0 * q * tail, tail
+
+
+def _init_rows(m: int, pi0, reset_threshold: int):
+    """Generation: ``(r0, survival, conditioned rows, certain-reset mask)``.
+
+    The survival ``1 - r0`` of a single link cancels when ``m * pi0`` is
+    small; at threshold 1 it is taken from ``1 - (1 - pi0)**m`` directly.
+    """
+    if reset_threshold < 1:
+        raise ValueError("reset threshold must be at least 1")
+    pi0 = np.asarray(pi0, dtype=np.float64)
+    kept = _binomial_rows(m, pi0)
+    r0 = kept[:, :reset_threshold].sum(axis=1)
+    kept[:, :reset_threshold] = 0.0
+    total = kept.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # pi0 = 1; no mass left
+        if reset_threshold == 1:
+            survive = -np.expm1(m * np.log1p(-pi0))
+        else:
+            survive = 1.0 - r0
+        return r0, survive, kept / total[:, None], total <= 0.0
+
+
+def _level_rows(q: np.ndarray, distill_next: bool):
+    """One pairing level: ``(r, next rows, defect, mean min, failure codes)``.
+
+    Failure code 1 marks a certain reset, 2 a pairing that keeps no pair.
+    """
+    paired, tail = _paired_rows(q)
+    mean_min = _row_means(paired / paired.sum(axis=1, keepdims=True), np.arange(q.shape[1]))
+    if distill_next:
+        q1 = q[:, 1] if q.shape[1] > 1 else 0.0
+        r = q[:, 0] * q[:, 0] + 2.0 * q[:, 0] * (tail[:, 0] - q1)
+    else:
+        r = np.zeros(len(q))
+    survivor = 1.0 - r
+    paired[:, 0] = 0.0
+    total = paired.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # failing rows turn NaN
+        scaled_total = total / survivor
+        nxt = paired / total[:, None]
+    failure = np.where(survivor <= 0.0, 1, np.where(scaled_total <= 0.0, 2, 0))
+    defect = np.maximum(1.0 - scaled_total, 0.0)
+    return r, nxt, defect, mean_min, failure
+
+
+_LEVEL_FAILURES = (None, "reset occurs with probability one", "no pairing outcome keeps at least one pair")
+
+
+def _reset_rows(survive: np.ndarray, n_links: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level burst reset probabilities and completion, from the
+    per-segment survival probability of each level."""
+    f = np.zeros_like(survive)
+    carried = np.ones(len(survive))
+    for i in range(survive.shape[1]):
+        segments = max(n_links >> i, 1)
+        level_survive = survive[:, i] ** segments
+        f[:, i] = carried * (1.0 - level_survive)
+        carried = carried * level_survive
+    return f, carried
 
 
 class CertainResetError(RuntimeError):
@@ -79,6 +185,8 @@ class PairCountDistribution:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
+        if not np.isfinite(arr).all():
+            raise ValueError("probabilities must be finite")
         if np.any(arr < 0.0):
             raise ValueError("probabilities must be non-negative")
         if abs(arr.sum() - 1.0) > _MASS_TOL:
@@ -87,15 +195,8 @@ class PairCountDistribution:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def mean(self) -> float:
         return float(np.arange(len(self.probs)) @ self.probs)
-
-    def mean_floor_half(self) -> float:
-        """Expected number of disjoint pairs, E[floor(k / 2)]."""
-        return float((np.arange(len(self.probs)) // 2) @ self.probs)
 
 
 def delta_distribution(k: int, width: int | None = None) -> PairCountDistribution:
@@ -168,6 +269,37 @@ class CascadeConfig:
     def n_links(self) -> int:
         return 1 << self.n
 
+    @property
+    def schedule(self) -> tuple:
+        """Everything but ``pi0``: the inputs a batch of rows must share."""
+        return (self.n, self.m, self.distill_flags, self.distill_success, self.reset_threshold)
+
+
+@dataclass(frozen=True)
+class CascadeBatch:
+    """Row-wise results of one recursion over configurations sharing a schedule.
+
+    Every array has one row per configuration; per-level arrays have a column
+    per level 0..n.  ``swaps[:, i]`` and ``distill_attempts[:, i]`` are the
+    expected operations of a burst at level i: a scheduled distillation runs
+    E[floor(k/2)] attempts per segment and every pairing performs
+    min(left, right) swaps, weighted by the probability that no segment has
+    run dry before the level executes.  ``certain_reset[b]`` names why row b
+    resets with probability one, or is None; the other entries of such a
+    row carry no meaning.  ``p_cond``/``q_cond`` hold each level's rows.
+    """
+
+    p_cond: tuple[np.ndarray, ...]
+    q_cond: tuple[np.ndarray, ...]
+    r: np.ndarray
+    f: np.ndarray
+    completion_prob: np.ndarray
+    expected_end_pairs: np.ndarray
+    mass_defect: np.ndarray
+    swaps: np.ndarray
+    distill_attempts: np.ndarray
+    certain_reset: tuple[str | None, ...]
+
 
 @dataclass(frozen=True)
 class CascadeReport:
@@ -178,11 +310,10 @@ class CascadeReport:
     it sums to one.  ``mass_defect[i]`` is the pairing mass at level i that
     the termination bookkeeping neither kept nor counted as reset, removed
     by renormalization (zero whenever no distillation ran below).
+    ``swaps``/``distill_attempts`` are as in ``CascadeBatch``.
     """
 
     config: CascadeConfig
-    p: tuple[PairCountDistribution, ...]
-    q: tuple[PairCountDistribution, ...]
     p_cond: tuple[PairCountDistribution, ...]
     q_cond: tuple[PairCountDistribution, ...]
     r: np.ndarray
@@ -190,6 +321,8 @@ class CascadeReport:
     completion_prob: float
     expected_end_pairs: float
     mass_defect: np.ndarray
+    swaps: np.ndarray
+    distill_attempts: np.ndarray
 
     @property
     def end_distribution(self) -> PairCountDistribution:
@@ -202,7 +335,7 @@ def generation_distribution(m: int, pi0: float) -> PairCountDistribution:
         raise ValueError("multiplexing width must be at least 1")
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
-    return PairCountDistribution(_binomial_row(m, pi0))
+    return PairCountDistribution(_binomial_rows(m, [pi0])[0])
 
 
 def distillation_thinning(
@@ -214,29 +347,13 @@ def distillation_thinning(
     probability ``d``; an odd leftover pair is consumed.  ``cap`` is the
     output support bound floor(M_i / 2).
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"d must lie in [0, 1], got {d}")
-    d = _flush_subnormal(d)
-    probs = dist.probs
-    mmax = (len(probs) - 1) // 2
-    if cap < mmax:
-        raise ValueError(f"cap {cap} cannot hold up to {mmax} distilled pairs")
-    # group j in {2m, 2m+1}: both feed floor(j/2) = m attempts
-    grouped = np.zeros(mmax + 1)
-    grouped += probs[0::2][: mmax + 1]
-    odd = probs[1::2]
-    grouped[: len(odd)] += odd
-    out = grouped @ _thinning_table(mmax, cap, d)
-    return PairCountDistribution(out / out.sum())
+    return PairCountDistribution(_thin_rows(dist.probs[None, :], d, cap)[0])
 
 
 def pair_minimum(dist: PairCountDistribution) -> PairCountDistribution:
     """Distribution of min(K1, K2) for two i.i.d. segment counts."""
-    q = dist.probs
-    cum = np.cumsum(q)
-    tail = cum[-1] - cum  # sum_{j > k} q_j
-    out = q * q + 2.0 * q * tail
-    return PairCountDistribution(out / out.sum())
+    paired, _ = _paired_rows(dist.probs[None, :])
+    return PairCountDistribution(paired[0] / paired[0].sum())
 
 
 def conditional_init(
@@ -248,19 +365,14 @@ def conditional_init(
     ``reset_threshold`` pairs; the returned distribution is the binomial
     conditioned on clearing the threshold.
     """
-    if reset_threshold < 1:
-        raise ValueError("reset threshold must be at least 1")
-    pmf = _binomial_row(m, pi0)
-    r0 = float(pmf[:reset_threshold].sum())
-    kept = pmf.copy()
-    kept[:reset_threshold] = 0.0
-    total = kept.sum()
-    if total <= 0.0:
-        raise CertainResetError(
-            f"generation cannot reach the threshold {reset_threshold} "
-            f"(m={m}, pi0={pi0})"
-        )
-    return r0, PairCountDistribution(kept / total)
+    r0, _, cond, dead = _init_rows(m, np.array([pi0]), reset_threshold)
+    if dead[0]:
+        raise CertainResetError(_init_failure(m, pi0, reset_threshold))
+    return float(r0[0]), PairCountDistribution(cond[0])
+
+
+def _init_failure(m: int, pi0: float, reset_threshold: int) -> str:
+    return f"generation cannot reach the threshold {reset_threshold} (m={m}, pi0={pi0})"
 
 
 def conditional_level_update(
@@ -274,27 +386,10 @@ def conditional_level_update(
     levels, all zero-pairing mass is removed by renormalization and returned
     as ``defect``.
     """
-    q = q_prev.probs
-    cum = np.cumsum(q)
-    tail = cum[-1] - cum
-    paired = q * q + 2.0 * q * tail
-
-    if distill_scheduled:
-        q1 = q[1] if len(q) > 1 else 0.0
-        r_i = float(q[0] * q[0] + 2.0 * q[0] * (tail[0] - q1))
-    else:
-        r_i = 0.0
-
-    survivor = 1.0 - r_i
-    if survivor <= 0.0:
-        raise CertainResetError("reset occurs with probability one")
-    kept = paired.copy()
-    kept[0] = 0.0
-    scaled_total = kept.sum() / survivor
-    if scaled_total <= 0.0:
-        raise CertainResetError("no pairing outcome keeps at least one pair")
-    defect = max(1.0 - scaled_total, 0.0)
-    return r_i, PairCountDistribution(kept / kept.sum()), defect
+    r, nxt, defect, _, failure = _level_rows(q_prev.probs[None, :], distill_scheduled)
+    if failure[0]:
+        raise CertainResetError(_LEVEL_FAILURES[failure[0]])
+    return float(r[0]), PairCountDistribution(nxt[0]), float(defect[0])
 
 
 def reset_probability_f(r: np.ndarray, n_links: int) -> tuple[np.ndarray, float]:
@@ -307,64 +402,87 @@ def reset_probability_f(r: np.ndarray, n_links: int) -> tuple[np.ndarray, float]
     r = np.asarray(r, dtype=np.float64)
     if np.any((r < 0.0) | (r > 1.0)):
         raise ValueError("reset probabilities must lie in [0, 1]")
-    f = np.zeros_like(r)
-    carried = 1.0
-    for i, ri in enumerate(r):
+    f, completion = _reset_rows(1.0 - r[None, :], n_links)
+    return f[0], float(completion[0])
+
+
+def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
+    """Run the recursion once for configurations that differ only in ``pi0``;
+    each row equals ``run_cascade`` on its configuration, bit for bit.
+
+    Each level's rows are checked once: finite, non-negative, unit mass.
+    """
+    head = configs[0]
+    if any(c.schedule != head.schedule for c in configs[1:]):
+        raise ValueError("a batch must share n, m, the distillation schedule and threshold")
+    n, flags, n_links = head.n, head.distill_flags, head.n_links
+    zeros = np.zeros(len(configs))
+    dead = zeros.astype(bool)  # rows that reset with certainty: NaN, unchecked
+    failures: list[str | None] = [None] * len(configs)
+
+    def fail(newly, message):
+        for b in np.flatnonzero(newly & ~dead):
+            failures[b] = message(b)
+        np.logical_or(dead, newly, out=dead)
+
+    pi0 = [c.pi0 for c in configs]
+    r0, survive0, p, no_mass = _init_rows(head.m, pi0, head.reset_threshold)
+    fail(no_mass, lambda b: _init_failure(head.m, pi0[b], head.reset_threshold))
+    _check_rows(p, dead, "generation")
+    p_cond, q_cond, r, survive, defects = [p], [], [r0], [survive0], [zeros]
+    swaps, attempts = [], []
+    running = survive0**n_links
+    for i in range(n + 1):
         segments = max(n_links >> i, 1)
-        survive = (1.0 - ri) ** segments
-        f[i] = carried * (1.0 - survive)
-        carried *= survive
-    return f, carried
+        q = p
+        if flags[i]:
+            attempts.append(running * segments * _row_means(p, np.arange(p.shape[1]) // 2))
+            q = _thin_rows(p, head.distill_success[i], head.level_width(i) // 2)
+            _check_rows(q, dead, f"distillation at level {i}")
+        else:
+            attempts.append(zeros)
+        q_cond.append(q)
+        if i == n:
+            swaps.append(zeros)
+            break
+        ri, p, defect, mean_min, failure = _level_rows(q, flags[i + 1])
+        fail(failure > 0, lambda b: _LEVEL_FAILURES[failure[b]])
+        _check_rows(p, dead, f"pairing into level {i + 1}")
+        swaps.append(running * (segments // 2) * mean_min)
+        running = running * ((1.0 - q[:, 0]) ** 2) ** (segments // 2)
+        p_cond.append(p)
+        r.append(ri)
+        survive.append(1.0 - ri)
+        defects.append(defect)
+    f, completion = _reset_rows(np.column_stack(survive), n_links)
+    return CascadeBatch(
+        p_cond=tuple(p_cond),
+        q_cond=tuple(q_cond),
+        r=np.column_stack(r),
+        f=f,
+        completion_prob=completion,
+        expected_end_pairs=completion * _row_means(p, np.arange(p.shape[1])),
+        mass_defect=np.column_stack(defects),
+        swaps=np.column_stack(swaps),
+        distill_attempts=np.column_stack(attempts),
+        certain_reset=tuple(failures),
+    )
 
 
 def run_cascade(config: CascadeConfig) -> CascadeReport:
-    """Evaluate both distribution tracks for one burst configuration."""
-    n = config.n
-    flags = config.distill_flags
-    dsucc = config.distill_success
-
-    # unconditional track
-    p = [generation_distribution(config.m, config.pi0)]
-    q: list[PairCountDistribution] = []
-    for i in range(n + 1):
-        if flags[i]:
-            cap = config.level_width(i) // 2
-            q.append(distillation_thinning(p[i], dsucc[i], cap))
-        else:
-            q.append(p[i])
-        if i < n:
-            p.append(pair_minimum(q[i]))
-
-    # conditional track
-    r0, cond = conditional_init(config.m, config.pi0, config.reset_threshold)
-    p_cond = [cond]
-    q_cond: list[PairCountDistribution] = []
-    r = [r0]
-    defects = [0.0]
-    for i in range(n + 1):
-        if flags[i]:
-            cap = config.level_width(i) // 2
-            q_cond.append(distillation_thinning(p_cond[i], dsucc[i], cap))
-        else:
-            q_cond.append(p_cond[i])
-        if i < n:
-            ri, nxt, defect = conditional_level_update(q_cond[i], flags[i + 1])
-            r.append(ri)
-            defects.append(defect)
-            p_cond.append(nxt)
-
-    r_arr = np.asarray(r)
-    f, completion = reset_probability_f(r_arr, config.n_links)
-    expected_end = completion * p_cond[n].mean()
+    """The recursion for one configuration, with each level's distributions."""
+    batch = run_cascade_batch([config])
+    if batch.certain_reset[0]:
+        raise CertainResetError(batch.certain_reset[0])
     return CascadeReport(
         config=config,
-        p=tuple(p),
-        q=tuple(q),
-        p_cond=tuple(p_cond),
-        q_cond=tuple(q_cond),
-        r=r_arr,
-        f=f,
-        completion_prob=float(completion),
-        expected_end_pairs=float(expected_end),
-        mass_defect=np.asarray(defects),
+        p_cond=tuple(PairCountDistribution(p[0]) for p in batch.p_cond),
+        q_cond=tuple(PairCountDistribution(q[0]) for q in batch.q_cond),
+        r=batch.r[0],
+        f=batch.f[0],
+        completion_prob=float(batch.completion_prob[0]),
+        expected_end_pairs=float(batch.expected_end_pairs[0]),
+        mass_defect=batch.mass_defect[0],
+        swaps=batch.swaps[0],
+        distill_attempts=batch.distill_attempts[0],
     )

@@ -28,7 +28,7 @@ from .channel import (
     select_wavelength,
 )
 from .coupling import QuadratureError, SolverError
-from .protocol import ProtocolConfig, build_schedule, evaluate_chain
+from .protocol import ProtocolConfig, build_schedule, cascade_config, evaluate_chain
 from .states import NoiseParams, key_fraction
 
 EXIT_CONFIG = 2
@@ -155,19 +155,10 @@ def _chain_payload(args: argparse.Namespace) -> dict:
             for step in trace.steps
         ]
     if args.oracle:
-        from .cascade import CascadeConfig
         from .oracle import MonteCarloConfig, mc_cascade
-        from .channel import select_wavelength as _select
 
-        _, pi0 = _select(medium, config.budget)
-        trace = build_schedule(config)
-        cc = CascadeConfig(
-            n=config.n,
-            m=config.m,
-            pi0=pi0,
-            distill_flags=trace.distill_flags,
-            distill_success=trace.distill_success,
-        )
+        _, pi0 = select_wavelength(medium, config.budget)
+        cc = cascade_config(config, build_schedule(config), pi0)
         mc = mc_cascade(cc, MonteCarloConfig(trials=args.trials, seed=args.seed))
         comp, comp_se = mc.completion_estimate()
         payload["oracle"] = {
@@ -253,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = sub.add_parser("sweep", help="run a sweep from a JSON config")
     sweep_cmd.add_argument("--config", required=True)
     sweep_cmd.add_argument("--out")
-    sweep_cmd.add_argument("--threads", type=int, default=None)
+    sweep_cmd.add_argument("--threads", type=int, default=None, help="accepted; no effect")
     sweep_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     figure = sub.add_parser("figure", help="run a named preset sweep")
     figure.add_argument("name")
     figure.add_argument("--out")
-    figure.add_argument("--threads", type=int, default=None)
+    figure.add_argument("--threads", type=int, default=None, help="accepted; no effect")
     figure.add_argument("--format", choices=("csv", "json"), default="csv")
     figure.set_defaults(func=_cmd_figure)
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cascade import CascadeReport, pair_minimum
+from .cascade import pair_minimum  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .protocol import LevelTrace, PerformancePoint
+    from .protocol import PerformancePoint
 
 
 @dataclass(frozen=True)
@@ -51,39 +51,23 @@ class OpCounts:
 
 
 def ops_per_burst(
-    report: CascadeReport,
-    trace: "LevelTrace",
-    n_links: int,
+    swaps: Sequence[float],
+    distill_attempts: Sequence[float],
     cost: CostModel | None = None,
 ) -> OpCounts:
-    """Expected swap and distillation operations in one burst.
+    """Expected swap and distillation operations in one burst, and their cost.
 
-    At level i the chain holds ``n_links / 2**i`` segments; a scheduled
-    distillation runs E[floor(k/2)] attempts per segment and every pairing
-    performs min(left, right) swaps.  Each level is weighted by the
-    probability that no segment has run dry before it executes.
+    ``swaps``/``distill_attempts`` hold the expected operations at each
+    level, as the count recursion reports them (``CascadeReport.swaps``).
     """
     cost = cost or CostModel()
-    flags = trace.distill_flags
-    n = report.config.n
-    running = (1.0 - report.r[0]) ** n_links
-
-    swaps = 0.0
-    distills = 0.0
-    for level in range(n + 1):
-        segments = max(n_links >> level, 1)
-        if flags[level]:
-            distills += running * segments * report.p_cond[level].mean_floor_half()
-        if level < n:
-            merged = pair_minimum(report.q_cond[level])
-            swaps += running * (segments // 2) * merged.mean()
-            zero = float(report.q_cond[level].probs[0])
-            running *= ((1.0 - zero) ** 2) ** (segments // 2)
+    swap_total = float(sum(swaps, 0.0))
+    distills = float(sum(distill_attempts, 0.0))
     return OpCounts(
-        swaps=swaps,
+        swaps=swap_total,
         distill_attempts=distills,
-        two_qubit_gates=swaps * cost.swap_gates + distills * cost.distill_gates,
-        measurements=swaps * cost.swap_measurements
+        two_qubit_gates=swap_total * cost.swap_gates + distills * cost.distill_gates,
+        measurements=swap_total * cost.swap_measurements
         + distills * cost.distill_measurements,
     )
 

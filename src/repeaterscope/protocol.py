@@ -13,9 +13,10 @@ elementary links.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import metrics
-from .cascade import CascadeConfig, CertainResetError, run_cascade
+from .cascade import CascadeConfig, CertainResetError, run_cascade, run_cascade_batch
 from .channel import LinkBudget, MediumProfile, select_wavelength
 from .states import (
     BellDiagonal,
@@ -156,54 +157,105 @@ def build_schedule(config: ProtocolConfig) -> LevelTrace:
     return LevelTrace(steps=tuple(steps))
 
 
+def _certain_reset_point(config, wavelength, end_state, reason) -> PerformancePoint:
+    return PerformancePoint(
+        skr_pcu=0.0,
+        expected_end_pairs=0.0,
+        completion_prob=0.0,
+        end_state=end_state,
+        ops=metrics.OpCounts(0.0, 0.0, 0.0, 0.0),
+        wavelength_used_nm=wavelength,
+        l0_km=config.budget.l0_km,
+        n=config.n,
+        m=config.m,
+        diagnostic=f"certain reset: {reason}",
+    )
+
+
+def _performance_point(
+    config, wavelength, end_state, key, cost, end_pairs, completion, defects, swaps, attempts
+) -> PerformancePoint:
+    """Package one row of the count recursion into a chain outcome."""
+    # normalize by all channel uses of the burst: M attempts on each of the
+    # N elementary links
+    channel_uses = config.m * (1 << config.n)
+    return PerformancePoint(
+        skr_pcu=float(end_pairs) * key / channel_uses,
+        expected_end_pairs=float(end_pairs),
+        completion_prob=float(completion),
+        end_state=end_state,
+        ops=metrics.ops_per_burst(swaps, attempts, cost),
+        wavelength_used_nm=wavelength,
+        l0_km=config.budget.l0_km,
+        n=config.n,
+        m=config.m,
+        mass_defect=float(defects.max()),
+    )
+
+
+def cascade_config(config: ProtocolConfig, trace: LevelTrace, pi0: float) -> CascadeConfig:
+    """The count-recursion input of a chain, from its schedule and ``pi0``."""
+    return CascadeConfig(
+        n=config.n,
+        m=config.m,
+        pi0=pi0,
+        distill_flags=trace.distill_flags,
+        distill_success=trace.distill_success,
+    )
+
+
 def evaluate_chain(
     config: ProtocolConfig, cost: metrics.CostModel | None = None
 ) -> PerformancePoint:
     """Full evaluation: wavelength choice, schedule, count recursion, SKR."""
     wavelength, pi0 = select_wavelength(config.medium, config.budget)
     trace = build_schedule(config)
-    end_state = trace.end_state
-    cost = cost or metrics.CostModel()
-
     try:
-        cascade_config = CascadeConfig(
-            n=config.n,
-            m=config.m,
-            pi0=pi0,
-            distill_flags=trace.distill_flags,
-            distill_success=trace.distill_success,
-        )
-        report = run_cascade(cascade_config)
+        report = run_cascade(cascade_config(config, trace, pi0))
     except CertainResetError as exc:
-        return PerformancePoint(
-            skr_pcu=0.0,
-            expected_end_pairs=0.0,
-            completion_prob=0.0,
-            end_state=end_state,
-            ops=metrics.OpCounts(0.0, 0.0, 0.0, 0.0),
-            wavelength_used_nm=wavelength,
-            l0_km=config.budget.l0_km,
-            n=config.n,
-            m=config.m,
-            diagnostic=f"certain reset: {exc}",
+        return _certain_reset_point(config, wavelength, trace.end_state, exc)
+    except ValueError as exc:
+        raise ScheduleError(str(exc)) from exc
+    return _performance_point(
+        config, wavelength, trace.end_state, key_fraction(trace.end_state), cost,
+        report.expected_end_pairs, report.completion_prob, report.mass_defect,
+        report.swaps, report.distill_attempts,
+    )
+
+
+def evaluate_chains(
+    configs: Sequence[ProtocolConfig], cost: metrics.CostModel | None = None
+) -> list[PerformancePoint]:
+    """``evaluate_chain`` for chains that share one schedule: the same depth,
+    width, threshold, noise, spacing and signal velocity.
+
+    Such chains differ only in their elementary success probability, so one
+    schedule and one batched count recursion serve them all; each point
+    equals ``evaluate_chain`` on its config, bit for bit.
+    """
+    def schedule_inputs(c: ProtocolConfig) -> tuple:
+        return (c.n, c.m, c.f_th, c.noise, c.budget.l0_km, c.medium.signal_velocity_kms)
+
+    if any(schedule_inputs(c) != schedule_inputs(configs[0]) for c in configs[1:]):
+        raise ValueError("chains of one batch must share their schedule inputs")
+    choices = [select_wavelength(c.medium, c.budget) for c in configs]
+    trace = build_schedule(configs[0])
+    try:
+        batch = run_cascade_batch(
+            [cascade_config(c, trace, pi0) for c, (_, pi0) in zip(configs, choices)]
         )
     except ValueError as exc:
         raise ScheduleError(str(exc)) from exc
-
-    # normalize by all channel uses of the burst: M attempts on each of the
-    # N elementary links
-    channel_uses = config.m * cascade_config.n_links
-    skr = report.expected_end_pairs * key_fraction(end_state) / channel_uses
-    ops = metrics.ops_per_burst(report, trace, cascade_config.n_links, cost)
-    return PerformancePoint(
-        skr_pcu=skr,
-        expected_end_pairs=report.expected_end_pairs,
-        completion_prob=report.completion_prob,
-        end_state=end_state,
-        ops=ops,
-        wavelength_used_nm=wavelength,
-        l0_km=config.budget.l0_km,
-        n=config.n,
-        m=config.m,
-        mass_defect=float(report.mass_defect.max()) if len(report.mass_defect) else 0.0,
-    )
+    key = key_fraction(trace.end_state)
+    points = []
+    for b, (config, (wavelength, _)) in enumerate(zip(configs, choices)):
+        if batch.certain_reset[b]:
+            point = _certain_reset_point(config, wavelength, trace.end_state, batch.certain_reset[b])
+        else:
+            point = _performance_point(
+                config, wavelength, trace.end_state, key, cost,
+                batch.expected_end_pairs[b], batch.completion_prob[b], batch.mass_defect[b],
+                batch.swaps[b], batch.distill_attempts[b],
+            )
+        points.append(point)
+    return points

@@ -4,7 +4,7 @@ A sweep walks the Cartesian product of its axes in lexicographic order
 (media alphabetical, numeric axes ascending), optimizes the nesting depth at
 each grid point, and emits one row per point.  Output is deterministic to
 the byte: fixed column order, 17-significant-digit floats, ``\\n`` line
-endings, independent of the worker count.
+endings.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import metrics
@@ -23,7 +22,7 @@ from .channel import (
     conversion_threshold,
     default_media,
 )
-from .protocol import PerformancePoint, ProtocolConfig, evaluate_chain
+from .protocol import PerformancePoint, ProtocolConfig, evaluate_chains
 from .states import NoiseParams
 
 DEFAULT_N_RANGE = tuple(range(0, 11))
@@ -87,6 +86,46 @@ class SweepRow:
     conv_eff_threshold: float
 
 
+def _best_depths(
+    points: list[tuple[MediumProfile, float, float]],
+    total_distance_km: float,
+    t2_s: float,
+    eps_g: float,
+    f_th: float,
+    m: int,
+    n_range: tuple[int, ...],
+) -> list[tuple[int, float, PerformancePoint]]:
+    """The SKR argmax over depth for each ``(medium, conv_eff, eta_hardware)``
+    point; ties keep the smaller n.
+
+    The points must share their media's signal velocity: at each depth they
+    then share one schedule and go through one batched evaluation.
+    """
+    if not n_range:
+        raise ConfigurationError("n_range is empty")
+    noise = NoiseParams(eps_g, t2=t2_s)
+    best: list[tuple[int, float, PerformancePoint] | None] = [None] * len(points)
+    for n in sorted(n_range):
+        l0 = total_distance_km / (1 << n)
+        configs = [
+            ProtocolConfig(
+                medium=medium,
+                budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0),
+                noise=noise,
+                n=n,
+                m=m,
+                f_th=f_th,
+            )
+            for medium, conv, eta_hw in points
+        ]
+        for i, point in enumerate(evaluate_chains(configs)):
+            if math.isnan(point.skr_pcu):
+                raise ValueError(f"skr_pcu is NaN at n={n}")
+            if best[i] is None or point.skr_pcu > best[i][2].skr_pcu:
+                best[i] = (n, l0, point)
+    return best
+
+
 def optimize_depth(
     total_distance_km: float,
     medium: MediumProfile,
@@ -99,22 +138,9 @@ def optimize_depth(
     n_range: tuple[int, ...] = DEFAULT_N_RANGE,
 ) -> tuple[int, float, PerformancePoint]:
     """Scan nesting depths and keep the SKR argmax; ties keep the smaller n."""
-    if not n_range:
-        raise ConfigurationError("n_range is empty")
-    best: tuple[int, float, PerformancePoint] | None = None
-    for n in sorted(n_range):
-        l0 = total_distance_km / (1 << n)
-        config = ProtocolConfig(
-            medium=medium,
-            budget=LinkBudget(eta_hardware=eta_hardware, conv_eff=conv_eff, l0_km=l0),
-            noise=NoiseParams(eps_g, t2=t2_s),
-            n=n,
-            m=m,
-        )
-        point = evaluate_chain(config)
-        if best is None or point.skr_pcu > best[2].skr_pcu:
-            best = (n, l0, point)
-    return best
+    return _best_depths(
+        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
+    )[0]
 
 
 def _media_table(profiles: dict[str, MediumProfile] | None) -> dict[str, MediumProfile]:
@@ -124,21 +150,8 @@ def _media_table(profiles: dict[str, MediumProfile] | None) -> dict[str, MediumP
     return table
 
 
-def _evaluate_point(
-    args: tuple[SweepSpec, MediumProfile, str, float, float, float, float, float],
-) -> SweepRow:
-    spec, medium, name, dist, conv, eta_hw, t2, eps = args
-    best_n, best_l0, point = optimize_depth(
-        dist,
-        medium,
-        conv,
-        eta_hw,
-        t2,
-        eps,
-        f_th=spec.f_th,
-        m=spec.m,
-        n_range=spec.n_range,
-    )
+def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
+    (name, dist, conv, eta_hw, t2, eps), (best_n, best_l0, point) = key, best
     try:
         threshold = conversion_threshold(medium, best_l0)
     except ValueError:
@@ -170,13 +183,18 @@ def run_sweep(
     media_profiles: dict[str, MediumProfile] | None = None,
     threads: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate every grid point; writes CSV to ``spec.output_path`` if set."""
+    """Evaluate every grid point; writes CSV to ``spec.output_path`` if set.
+
+    Points that share signal velocity, distance, T2 and gate error share
+    their schedule at every depth and are evaluated together.  ``threads``
+    is accepted for compatibility and has no effect.
+    """
     table = _media_table(media_profiles)
     for name in spec.media:
         if name not in table:
             raise ConfigurationError(f"unknown medium {name!r}")
-    tasks = [
-        (spec, table[name], name, dist, conv, eta_hw, t2, eps)
+    keys = [
+        (name, dist, conv, eta_hw, t2, eps)
         for name in spec.media
         for dist in spec.total_distance_km
         for conv in spec.conv_eff
@@ -184,11 +202,16 @@ def run_sweep(
         for t2 in spec.t2_s
         for eps in spec.eps_g
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_evaluate_point, tasks))
-    else:
-        rows = [_evaluate_point(t) for t in tasks]
+    groups: dict[tuple, list[tuple]] = {}
+    for key in keys:
+        name, dist, _, _, t2, eps = key
+        groups.setdefault((table[name].signal_velocity_kms, dist, t2, eps), []).append(key)
+    best = {}
+    for (_, dist, t2, eps), members in groups.items():
+        points = [(table[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members]
+        found = _best_depths(points, dist, t2, eps, spec.f_th, spec.m, spec.n_range)
+        best.update(zip(members, found))
+    rows = [_sweep_row(spec, table[key[0]], key, best[key]) for key in keys]
     if spec.output_path:
         write_csv(rows, spec.output_path)
     return rows
@@ -262,7 +285,10 @@ def load_config(path: str) -> tuple[SweepSpec, dict[str, MediumProfile]]:
 
 
 def resolve_threads(cli_value: int | None) -> int:
-    """Worker count: explicit flag wins, then the THREADS variable, then 1."""
+    """Worker count: explicit flag wins, then the THREADS variable, then 1.
+
+    ``run_sweep`` accepts the count and runs serially whatever it is.
+    """
     if cli_value is not None:
         return max(1, cli_value)
     env = os.environ.get("THREADS")
@@ -303,13 +329,6 @@ def figure_preset(name: str) -> SweepSpec:
             eta_hardware=(0.1, 0.2, 0.4, 0.6, 0.8, 1.0),
             eps_g=(1e-4, 1e-3),
         ),
-        # operations per delivered key on the fig5 grid
-        "fig7": SweepSpec(
-            media=("HCF", "SMF"),
-            total_distance_km=_DISTANCES,
-            conv_eff=(0.3, 0.5, 0.7, 1.0),
-            eps_g=(1e-4, 1e-3),
-        ),
         # optimal spacing vs distance for both conversion rows
         "fig8": SweepSpec(
             media=("HCF", "SMF"),
@@ -326,6 +345,8 @@ def figure_preset(name: str) -> SweepSpec:
             eps_g=(1e-4, 1e-3, 1e-2),
         ),
     }
+    # operations per delivered key, on the fig5 grid
+    presets["fig7"] = presets["fig5"]
     try:
         return presets[name]
     except KeyError:

@@ -46,7 +46,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def comparison_grid():
     """Depth-optimized rows over the headline grid, keyed by (medium, point)."""
     t0 = time.perf_counter()
-    rows = run_sweep(figure_preset("fig5"), threads=8)
+    rows = run_sweep(figure_preset("fig5"))
     elapsed = time.perf_counter() - t0
     table = {}
     for row in rows:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from repeaterscope import cascade
 from repeaterscope.cascade import (
     CascadeConfig,
     CertainResetError,
@@ -19,6 +20,7 @@ from repeaterscope.cascade import (
     pair_minimum,
     reset_probability_f,
     run_cascade,
+    run_cascade_batch,
 )
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 
@@ -43,10 +45,16 @@ class TestPairCountDistribution:
         with pytest.raises(ValueError):
             PairCountDistribution(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError):
+            PairCountDistribution(np.array([bad, 1.0]))
+        with pytest.raises(ValueError):
+            PairCountDistribution(np.full(3, bad))
+
     def test_mean_helpers(self):
         dist = PairCountDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
         assert dist.mean() == pytest.approx(1.5)
-        assert dist.mean_floor_half() == pytest.approx(0.5)
 
 
 class TestGeneration:
@@ -248,7 +256,7 @@ class TestRunCascade:
             distill_success=(0.9, 1.0, 0.85, 1.0),
         )
         report = run_cascade(config)
-        for track in (report.p, report.q, report.p_cond, report.q_cond):
+        for track in (report.p_cond, report.q_cond):
             for dist in track:
                 assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
                 assert dist.probs.min() >= 0.0
@@ -306,3 +314,59 @@ class TestRunCascade:
         assert tv < 0.01
         comp, comp_se = mc.completion_estimate()
         assert abs(report.completion_prob - comp) <= 3 * comp_se
+
+
+class TestRunCascadeBatch:
+    FLAGS = (True, False, True, False)
+    SUCCESS = (0.9, 1.0, 0.85, 1.0)
+
+    def configs(self, pi0s, **kw):
+        return [
+            CascadeConfig(n=3, m=32, pi0=p, distill_flags=self.FLAGS, distill_success=self.SUCCESS, **kw)
+            for p in pi0s
+        ]
+
+    def test_rows_equal_single_runs_bit_for_bit(self):
+        configs = self.configs([0.35, 0.02, 0.0, 0.9, 1.0])
+        batch = run_cascade_batch(configs)
+        assert batch.certain_reset[2] is not None
+        for b, config in enumerate(configs):
+            if b == 2:
+                with pytest.raises(CertainResetError):
+                    run_cascade(config)
+                continue
+            assert batch.certain_reset[b] is None
+            report = run_cascade(config)
+            for name in ("r", "f", "mass_defect", "swaps", "distill_attempts"):
+                assert np.array_equal(getattr(batch, name)[b], getattr(report, name)), name
+            assert batch.completion_prob[b] == report.completion_prob
+            assert batch.expected_end_pairs[b] == report.expected_end_pairs
+            assert np.array_equal(batch.p_cond[-1][b], report.end_distribution.probs)
+
+    def test_rows_must_share_the_schedule(self):
+        mixed = self.configs([0.3]) + [CascadeConfig(n=3, m=32, pi0=0.3)]
+        with pytest.raises(ValueError):
+            run_cascade_batch(mixed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_level_is_rejected(self, monkeypatch, bad):
+        table = cascade._thinning_table
+
+        def poisoned(rows, cap, d):
+            out = table(rows, cap, d)
+            out[-1, 0] = bad
+            return out
+
+        monkeypatch.setattr(cascade, "_thinning_table", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="distillation at level 0"):
+            run_cascade_batch(self.configs([0.35]))
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("pi0", [1e-15, 1e-13])
+    def test_completion_matches_closed_form_at_tiny_success(self, n, pi0):
+        # no distillation: the burst completes when every link clears the
+        # threshold, (1 - (1 - pi0)**m)**N
+        report = run_cascade(CascadeConfig(n=n, m=16, pi0=pi0))
+        expected = binom.sf(0, 16, pi0) ** (1 << n)
+        assert report.completion_prob == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert report.f.sum() + report.completion_prob == pytest.approx(1.0, abs=1e-12)

@@ -113,8 +113,10 @@ def write_goldens(names) -> None:
         for i in moved:
             old_lines[i + 1] = new_lines[i + 1]
         path.write_text("\n".join(old_lines) + "\n")
-        largest = max(moves, key=lambda m: m[2], default=None)
-        print(f"{name}: {len(moved)} rows rewritten; largest move {largest}")
+        print(f"{name}: {len(moved)} rows rewritten")
+        if moves:
+            i, column, move = max(moves, key=lambda m: m[2])
+            print(f"  largest move: row {i} {column}, {move:.3g} times its tolerance")
 
 
 if __name__ == "__main__":

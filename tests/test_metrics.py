@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,23 +18,18 @@ from repeaterscope.protocol import ProtocolConfig, evaluate_chain
 from repeaterscope.states import NoiseParams
 
 
-@dataclass(frozen=True)
-class FakeTrace:
-    distill_flags: tuple
-
-
 class TestOpsPerBurst:
     def test_single_link_has_no_ops(self):
         config = CascadeConfig(n=0, m=4, pi0=0.6)
         report = run_cascade(config)
-        ops = ops_per_burst(report, FakeTrace((False,)), 1, CostModel())
+        ops = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
         assert ops.swaps == 0.0
         assert ops.distill_attempts == 0.0
 
     def test_deterministic_single_swap(self):
         config = CascadeConfig(n=1, m=1, pi0=1.0)
         report = run_cascade(config)
-        ops = ops_per_burst(report, FakeTrace((False, False)), 2, CostModel())
+        ops = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
         assert ops.swaps == pytest.approx(1.0, abs=1e-12)
         assert ops.two_qubit_gates == pytest.approx(1.0, abs=1e-12)
         assert ops.measurements == pytest.approx(2.0, abs=1e-12)
@@ -47,12 +41,10 @@ class TestOpsPerBurst:
             distill_success=(0.9, 1.0, 1.0),
         )
         report = run_cascade(config)
-        trace = FakeTrace((True, False, False))
-        single = ops_per_burst(report, trace, 4, CostModel())
+        single = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
         double = ops_per_burst(
-            report,
-            trace,
-            4,
+            report.swaps,
+            report.distill_attempts,
             CostModel(swap_gates=2, swap_measurements=4,
                       distill_gates=4, distill_measurements=4),
         )
@@ -67,7 +59,7 @@ class TestOpsPerBurst:
             distill_success=(0.9, 1.0, 1.0),
         )
         report = run_cascade(config)
-        ops = ops_per_burst(report, FakeTrace(config.distill_flags), 4, CostModel())
+        ops = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
         mc = mc_cascade(config, MonteCarloConfig(trials=400_000, seed=99))
         sw_mean, sw_se, di_mean, di_se = mc.ops_estimate()
         assert abs(ops.swaps - sw_mean) <= 2 * sw_se

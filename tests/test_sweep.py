@@ -1,11 +1,17 @@
+import dataclasses
+import importlib.util
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from repeaterscope.channel import ConfigurationError, hcf_profile, smf_profile
+from repeaterscope import protocol, sweep
+from repeaterscope.channel import ConfigurationError, LinkBudget, hcf_profile, smf_profile
+from repeaterscope.protocol import ProtocolConfig, evaluate_chain, evaluate_chains
+from repeaterscope.states import NoiseParams
 from repeaterscope.sweep import (
     SweepSpec,
     figure_preset,
@@ -66,6 +72,11 @@ class TestOptimizeDepth:
         assert point.skr_pcu == 0.0
         assert point.diagnostic is not None
 
+    def test_nan_rate_raises_instead_of_losing_every_comparison(self, monkeypatch):
+        monkeypatch.setattr(protocol, "key_fraction", lambda state: math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            optimize_depth(100.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0, 1))
+
     def test_hcf_supports_wider_spacing_at_500km(self):
         besth = optimize_depth(500.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=1024)
         bests = optimize_depth(500.0, smf_profile(), 0.5, 1.0, 1.0, 1e-3, m=1024)
@@ -125,6 +136,86 @@ class TestRunSweep:
             run_sweep(small_spec(media=("XYZ",)))
 
 
+def chain_config(medium, dist, conv, eta_hw, t2, eps, n, m=1024, f_th=0.95):
+    return ProtocolConfig(
+        medium=medium,
+        budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=dist / (1 << n)),
+        noise=NoiseParams(eps, t2=t2),
+        n=n,
+        m=m,
+        f_th=f_th,
+    )
+
+
+class TestFidelityThreshold:
+    def test_sweep_runs_at_the_configured_threshold(self):
+        # SMF, 600 km, conv_eff 0.5, eps_g 1e-2: the best depth is n=2 at
+        # f_th 0.5 and n=3 at 0.95
+        spec = SweepSpec(
+            media=("SMF",), total_distance_km=(600.0,), conv_eff=(0.5,), eps_g=(1e-2,), f_th=0.5
+        )
+        low = run_sweep(spec)[0]
+        high = run_sweep(dataclasses.replace(spec, f_th=0.95))[0]
+        by_depth = {
+            n: evaluate_chain(chain_config(smf_profile(), 600.0, 0.5, 1.0, 1.0, 1e-2, n, f_th=0.5)).skr_pcu
+            for n in spec.n_range
+        }
+        best_n = max(by_depth, key=lambda n: (by_depth[n], -n))
+        assert (low.best_n, low.skr_pcu) == (best_n, by_depth[best_n])
+        assert (low.best_n, high.best_n) == (2, 3)
+        assert low.skr_pcu != high.skr_pcu
+
+
+class TestBatchedRowsMatchSingleChains:
+    """Batched evaluation gives each point exactly what ``evaluate_chain`` gives it."""
+
+    def test_fig5_rows_match_evaluate_chain(self):
+        spec = figure_preset("fig5")
+        rows = run_sweep(spec)
+        media = {"HCF": hcf_profile(), "SMF": smf_profile()}
+        for row in rows[::53]:
+            by_depth = {
+                n: evaluate_chain(
+                    chain_config(media[row.medium], row.total_distance_km, row.conv_eff,
+                                 row.eta_hardware, row.t2_s, row.eps_g, n)
+                )
+                for n in spec.n_range
+            }
+            point = by_depth[row.best_n]
+            assert row.skr_pcu == point.skr_pcu
+            assert row.completion_prob == point.completion_prob
+            assert row.gate_ops_per_burst == point.ops.two_qubit_gates
+            assert row.measurement_ops_per_burst == point.ops.measurements
+            assert row.mass_defect == point.mass_defect
+            assert row.wavelength_used_nm == point.wavelength_used_nm
+            assert all(
+                p.skr_pcu < row.skr_pcu or (p.skr_pcu == row.skr_pcu and n >= row.best_n)
+                for n, p in by_depth.items()
+            )
+
+    @pytest.mark.parametrize(
+        "preset,dist,eps,n,diagnostic",
+        [
+            ("fig5", 400.0, 1e-3, 8, False),  # distills at levels 5 and 6
+            ("fig6", 100.0, 1e-4, 10, True),  # distills; certain reset at eta_hardware 0.1
+        ],
+    )
+    def test_batched_depth_matches_evaluate_chain(self, preset, dist, eps, n, diagnostic):
+        spec = figure_preset(preset)
+        media = {"HCF": hcf_profile(), "SMF": smf_profile()}
+        configs = [
+            chain_config(media[name], dist, conv, eta_hw, 1.0, eps, n)
+            for name in spec.media
+            for conv in spec.conv_eff
+            for eta_hw in spec.eta_hardware
+        ]
+        assert any(protocol.build_schedule(configs[0]).distill_flags)
+        batched = evaluate_chains(configs)
+        assert batched == [evaluate_chain(c) for c in configs]
+        assert any(p.diagnostic for p in batched) == diagnostic
+        assert not all(p.diagnostic for p in batched)
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         payload = {
@@ -180,6 +271,21 @@ class TestFigurePresets:
             spec = figure_preset(name)
             assert spec.f_th == 0.95
             assert spec.m == 1024
+
+    def test_figure_script_sweeps_a_shared_grid_once(self, tmp_path, monkeypatch):
+        script = pathlib.Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
+        script_spec = importlib.util.spec_from_file_location("make_figure_data", script)
+        module = importlib.util.module_from_spec(script_spec)
+        script_spec.loader.exec_module(module)
+        swept = []
+        real = sweep.run_sweep
+        monkeypatch.setattr(sweep, "run_sweep", lambda spec, **kw: swept.append(spec) or real(spec, **kw))
+        monkeypatch.setattr(
+            sys, "argv", ["make_figure_data.py", "--out-dir", str(tmp_path), "--presets", "fig5", "fig7"]
+        )
+        assert module.main() == 0
+        assert swept == [figure_preset("fig5")]
+        assert (tmp_path / "fig7.csv").read_bytes() == (tmp_path / "fig5.csv").read_bytes()
 
     def test_fig3_is_single_link(self):
         assert figure_preset("fig3").n_range == (0,)
