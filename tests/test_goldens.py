@@ -10,6 +10,10 @@ Run ``PYTHONPATH=src python tests/test_goldens.py [name ...]`` to write a
 missing golden file, or, for a change that is meant to move outputs, to
 rewrite only the rows that fall outside these tolerances; it prints how many
 rows moved per preset and the largest move.
+
+``couple_<wavelength>.csv`` hold the output of ``repeaterscope couple
+--wavelength <wavelength>`` at its default 26 tilt angles; the angle and the
+HCF constant must match exactly, ``eta_smf_1550`` to a relative 1e-12.
 """
 
 import csv
@@ -21,6 +25,7 @@ import sys
 
 import pytest
 
+from repeaterscope import cli
 from repeaterscope.sweep import SweepRow, figure_preset, rows_to_csv, run_sweep
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -95,6 +100,19 @@ def test_preset_matches_golden(name):
         for i, column, _ in moves[:10]
     ]
     assert not moves, f"{len(moves)} cells outside tolerance:\n" + "\n".join(described)
+
+
+@pytest.mark.parametrize("wavelength", ["1550", "780"])
+def test_couple_matches_golden(wavelength, tmp_path):
+    out = tmp_path / "couple.csv"
+    assert cli.main(["couple", "--wavelength", wavelength, "--out", str(out)]) == 0
+    golden = _parse((GOLDEN_DIR / f"couple_{wavelength}.csv").read_text())
+    rows = _parse(out.read_text())
+    assert len(rows) == len(golden)
+    for g, r in zip(golden, rows):
+        assert list(r) == list(g)
+        assert (r["theta_rad"], r["eta_constants_hcf"]) == (g["theta_rad"], g["eta_constants_hcf"])
+        assert float(r["eta_smf_1550"]) == pytest.approx(float(g["eta_smf_1550"]), rel=REL_TOL, abs=0.0)
 
 
 def write_goldens(names) -> None:
