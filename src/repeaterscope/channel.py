@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .coupling import HCF_COUPLING_AT_TOL, SMF_COUPLING_AT_TOL
+
 MEMORY_NM = 780
 TELECOM_NM = 1550
 
@@ -82,7 +84,7 @@ def smf_profile(velocity_kms: float = DEFAULT_SIGNAL_VELOCITY) -> MediumProfile:
     return MediumProfile(
         name="SMF",
         att_length_km={TELECOM_NM: 28.95},
-        coupling_mem_fiber=0.83,
+        coupling_mem_fiber=SMF_COUPLING_AT_TOL,
         signal_velocity_kms=velocity_kms,
     )
 
@@ -92,7 +94,7 @@ def hcf_profile(velocity_kms: float = DEFAULT_SIGNAL_VELOCITY) -> MediumProfile:
     return MediumProfile(
         name="HCF",
         att_length_km={MEMORY_NM: 24.127, TELECOM_NM: 78.96},
-        coupling_mem_fiber=0.79,
+        coupling_mem_fiber=HCF_COUPLING_AT_TOL,
         signal_velocity_kms=velocity_kms,
     )
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
-from scipy.integrate import IntegrationWarning, quad
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import j0, j1, k0, k1
 
 SINGLE_MODE_CUTOFF_V = 2.404825557695773  # first zero of J0
@@ -30,6 +30,9 @@ SILICA_INDEX = 1.45
 HCF_PEAK_COUPLING = 0.98
 HCF_TILT_TOL_RAD = 0.025
 HCF_COUPLING_AT_TOL = 0.79
+# adopted silica facet coupling at the same tolerance; the near-cutoff preset's
+# tilted overlap derives it (acceptance criterion 4)
+SMF_COUPLING_AT_TOL = 0.83
 
 
 class SolverError(RuntimeError):
@@ -162,38 +165,83 @@ def fiber_mode(fiber: StepIndexFiber, wavelength_nm: float) -> ModeSolution:
     return ModeSolution(v=root.v, u=root.u, w=root.w, beta_per_um=beta)
 
 
-def mode_field(r_um: float, fiber: StepIndexFiber, mode: ModeSolution) -> float:
-    """Scalar LP01 field amplitude at radius r; continuous at the core edge."""
-    if r_um < 0.0:
+def mode_field(
+    r_um: float | np.ndarray, fiber: StepIndexFiber, mode: ModeSolution
+) -> float | np.ndarray:
+    """Scalar LP01 field amplitude at radius r; continuous at the core edge.
+
+    ``r_um`` is a float or an array of radii; J0 is evaluated only on core
+    radii and K0 only on cladding radii.
+    """
+    r = np.asarray(r_um, dtype=float)
+    if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
     a = fiber.core_radius_um
-    if r_um <= a:
-        return float(j0(mode.u * r_um / a))
-    return float(j0(mode.u) / k0(mode.w) * k0(mode.w * r_um / a))
+    core = r <= a
+    clad = ~core
+    out = np.empty_like(r)
+    out[core] = j0(mode.u * r[core] / a)
+    out[clad] = j0(mode.u) / k0(mode.w) * k0(mode.w * r[clad] / a)
+    return float(out) if out.ndim == 0 else out
 
 
 _TAIL_CUT = math.log(1e16)  # integrand truncated below 1e-16 of its peak
 
+# Gauss-Legendre pair: the 48-point value is kept, its gap to the 24-point
+# value is the panel's error estimate
+_COARSE = 24
+_COARSE_X, _COARSE_W = leggauss(_COARSE)
+_FINE_X, _FINE_W = leggauss(2 * _COARSE)
+_NODES = np.concatenate((_COARSE_X, _FINE_X))
+_EPSREL = 1e-10
+_MAX_PANELS = 300
 
-def _integrate(fn, lo: float, hi: float) -> float:
-    # the explicit error-estimate check below is the convergence gate, so
-    # QUADPACK's roundoff chatter is silenced
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-10, limit=300)
+
+def _gauss_legendre(fn, cuts) -> float:
+    """Adaptive integral of ``fn`` from ``cuts[0]`` to ``cuts[-1]``.
+
+    ``fn`` maps an array of abscissae to integrand values.  The panels start
+    at the cuts; every pass evaluates all live panels in one call and bisects
+    each whose 24/48-point gap exceeds its width's share of 1e-10 |total|,
+    up to 300 panels.  The summed gap is the error estimate that gates the
+    result.
+    """
+    lo = np.asarray(cuts[:-1], dtype=float)
+    hi = np.asarray(cuts[1:], dtype=float)
+    span = cuts[-1] - cuts[0]
+    done_val = done_err = 0.0
+    panels = lo.size
+    while True:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        f = fn(mid[:, None] + half[:, None] * _NODES)
+        fine = half * (f[:, _COARSE:] @ _FINE_W)
+        gap = np.abs(fine - half * (f[:, :_COARSE] @ _COARSE_W))
+        val = done_val + fine.sum()
+        split = gap > _EPSREL * abs(val) * (2.0 / span) * half
+        n_split = int(np.count_nonzero(split))
+        if n_split == 0 or panels + n_split > _MAX_PANELS:
+            err = done_err + gap.sum()
+            break
+        keep = ~split
+        done_val += fine[keep].sum()
+        done_err += gap[keep].sum()
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        panels += n_split
     if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-13):
-        raise QuadratureError(f"quadrature failed on ({lo}, {hi})")
-    return val
+        raise QuadratureError(f"quadrature failed on ({cuts[0]}, {cuts[-1]})")
+    return float(val)
 
 
-@lru_cache(maxsize=256)
 def _fiber_norm(fiber: StepIndexFiber, mode: ModeSolution) -> float:
-    """Cached radial power integral of the fiber mode."""
-    a = fiber.core_radius_um
-    r_max = a * (1.0 + _TAIL_CUT / (2.0 * mode.w) + 2.0)
-    core = _integrate(lambda r: mode_field(r, fiber, mode) ** 2 * r, 0.0, a)
-    clad = _integrate(lambda r: mode_field(r, fiber, mode) ** 2 * r, a, r_max)
-    return core + clad
+    """Radial power integral of the fiber mode, in closed form (Snyder & Love)."""
+    a2 = 0.5 * fiber.core_radius_um**2
+    j0u, j1u = j0(mode.u), j1(mode.u)
+    k0w, k1w = k0(mode.w), k1(mode.w)
+    core = a2 * (j0u * j0u + j1u * j1u)
+    clad = a2 * (j0u / k0w) ** 2 * (k1w * k1w - k0w * k0w)
+    return float(core + clad)
 
 
 def _overlap_from_waist(
@@ -212,23 +260,16 @@ def _overlap_from_waist(
     r_gauss = waist_um * math.sqrt(_TAIL_CUT)
     r_max = max(min(r_clad, a + r_gauss), 1.01 * a)
 
-    def integrand(r: float) -> float:
-        val = mode_field(r, fiber, mode) * math.exp(-((r / waist_um) ** 2)) * r
+    def integrand(r: np.ndarray) -> np.ndarray:
+        val = mode_field(r, fiber, mode) * np.exp(-((r / waist_um) ** 2)) * r
         if tilt_wavenumber != 0.0:
             val *= j0(tilt_wavenumber * r)
         return val
 
-    # integrate in segments so that a narrow Gaussian and the core edge are
-    # both resolved
-    cuts = sorted({0.0, min(r_gauss, a), a, r_max})
-    num = sum(
-        _integrate(integrand, lo, hi)
-        for lo, hi in zip(cuts, cuts[1:])
-        if hi <= r_max and hi > lo
-    )
-    gauss_norm = _integrate(
-        lambda r: math.exp(-2.0 * (r / waist_um) ** 2) * r, 0.0, r_gauss
-    )
+    # panels cut so that a narrow Gaussian and the core edge are both resolved
+    num = _gauss_legendre(integrand, sorted({0.0, min(r_gauss, a), a, r_max}))
+    # the Gaussian's power out to r_gauss, where the integrand is 1e-16 of its peak
+    gauss_norm = 0.25 * waist_um**2 * -math.expm1(-2.0 * _TAIL_CUT)
     eta = num * num / (_fiber_norm(fiber, mode) * gauss_norm)
     return min(eta, 1.0)
 

@@ -1,13 +1,25 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import j0, k0
 
+from repeaterscope import cli, coupling
 from repeaterscope.coupling import (
+    _TAIL_CUT,
     GaussianBeam,
     ModeSolution,
+    QuadratureError,
     StepIndexFiber,
+    _fiber_norm,
+    _gauss_legendre,
+    _overlap_from_waist,
     effective_coupling,
     facet_transmission,
     fiber_mode,
@@ -99,6 +111,20 @@ class TestModeField:
         a = FIBER.core_radius_um
         expected = float(j0(MODE.u) / k0(MODE.w) * k0(2.0 * MODE.w))
         assert mode_field(2.0 * a, FIBER, MODE) == pytest.approx(expected, abs=1e-10)
+
+    def test_array_matches_scalar_calls(self):
+        a = FIBER.core_radius_um
+        radii = np.array([[0.0, 0.5 * a, a], [a * (1 + 1e-13), 2.0 * a, 9.0 * a]])
+        field = mode_field(radii, FIBER, MODE)
+        assert field.shape == radii.shape
+        expected = [[mode_field(float(r), FIBER, MODE) for r in row] for row in radii]
+        assert field.tolist() == expected
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            mode_field(-1e-9, FIBER, MODE)
+        with pytest.raises(ValueError):
+            mode_field(np.array([0.0, -1.0]), FIBER, MODE)
 
     def test_monotone_decay_outside_core(self):
         a = FIBER.core_radius_um
@@ -209,3 +235,111 @@ class TestEffectiveCoupling:
         assert effective_coupling(bare, 0.0, 1550.0) == pytest.approx(
             expected, abs=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# quadrature against QUADPACK, one scalar callback per point
+# ---------------------------------------------------------------------------
+
+GRID_V = (0.6, 1.0, 1.6, 2.0, 2.4048)
+GRID_WAVELENGTHS = (780.0, 1550.0)
+GRID_WAIST_OVER_A = (0.2, 1.0, 5.0)
+GRID_THETAS = (0.0, 0.05, 0.2, 0.45)
+GRID_NA = 0.1
+
+
+def _grid_fiber(v: float, wavelength: float) -> StepIndexFiber:
+    a = v * wavelength * 1e-3 / (2.0 * math.pi * GRID_NA)
+    return StepIndexFiber(a, 1.45, math.sqrt(1.45**2 - GRID_NA**2))
+
+
+def _quad(fn, lo: float, hi: float) -> float:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(fn, lo, hi, epsabs=0.0, epsrel=1e-10, limit=300)[0]
+
+
+def _field(r: float, a: float, mode: ModeSolution) -> float:
+    if r <= a:
+        return float(j0(mode.u * r / a))
+    return float(j0(mode.u) / k0(mode.w) * k0(mode.w * r / a))
+
+
+def _reference_fiber_norm(a: float, mode: ModeSolution) -> float:
+    def power(r):
+        return _field(r, a, mode) ** 2 * r
+
+    return _quad(power, 0.0, a) + _quad(power, a, math.inf)
+
+
+def _reference_overlap(waist: float, a: float, mode: ModeSolution, q: float) -> float:
+    """The truncated overlap integral, segment by segment with ``quad``."""
+    r_clad = a * (1.0 + _TAIL_CUT / mode.w + 2.0)
+    r_gauss = waist * math.sqrt(_TAIL_CUT)
+    r_max = max(min(r_clad, a + r_gauss), 1.01 * a)
+
+    def integrand(r):
+        return _field(r, a, mode) * math.exp(-((r / waist) ** 2)) * r * float(j0(q * r))
+
+    cuts = sorted({0.0, min(r_gauss, a), a, r_max})
+    num = sum(_quad(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    gauss_norm = _quad(lambda r: math.exp(-2.0 * (r / waist) ** 2) * r, 0.0, r_gauss)
+    return min(num * num / (_reference_fiber_norm(a, mode) * gauss_norm), 1.0)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("wavelength", GRID_WAVELENGTHS)
+    @pytest.mark.parametrize("v", GRID_V)
+    def test_overlap_matches_quadpack(self, v, wavelength):
+        fiber = _grid_fiber(v, wavelength)
+        mode = fiber_mode(fiber, wavelength)
+        a = fiber.core_radius_um
+        k_free = 2.0 * math.pi / (wavelength * 1e-3)
+        for ratio in GRID_WAIST_OVER_A:
+            for theta in GRID_THETAS:
+                q = k_free * math.sin(theta)
+                eta = _overlap_from_waist(ratio * a, fiber, mode, tilt_wavenumber=q)
+                ref = _reference_overlap(ratio * a, a, mode, q)
+                assert eta == pytest.approx(ref, rel=1e-9, abs=0.0), (ratio, theta)
+
+    @pytest.mark.parametrize("v", GRID_V)
+    def test_closed_form_fiber_norm(self, v):
+        fiber = _grid_fiber(v, 1550.0)
+        mode = fiber_mode(fiber, 1550.0)
+        ref = _reference_fiber_norm(fiber.core_radius_um, mode)
+        assert _fiber_norm(fiber, mode) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_refines_an_integrand_the_first_panel_cannot_resolve(self):
+        val = _gauss_legendre(lambda x: np.cos(200.0 * x), [0.0, 1.0])
+        assert val == pytest.approx(math.sin(200.0) / 200.0, rel=1e-10, abs=0.0)
+
+    def test_unresolved_at_the_panel_cap_raises(self):
+        with pytest.raises(QuadratureError):
+            _gauss_legendre(lambda x: np.cos(1e6 * x), [0.0, 1.0])
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            _gauss_legendre(lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0])
+
+    def test_couple_exits_3_on_quadrature_failure(self, monkeypatch, tmp_path, capsys):
+        def fail(fn, cuts):
+            raise QuadratureError("forced")
+
+        monkeypatch.setattr(coupling, "_gauss_legendre", fail)
+        assert cli.main(["couple", "--out", str(tmp_path / "couple.csv")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = pathlib.Path(coupling.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    code = "import sys, repeaterscope.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "False"
