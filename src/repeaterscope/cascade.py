@@ -31,6 +31,11 @@ from scipy.special import gammaln
 _MASS_TOL = 1e-10
 
 
+class InvariantError(ArithmeticError):
+    """Raised when a computed quantity breaks a numeric invariant of the model
+    (a level's rows are not probability vectors, or a rate is NaN)."""
+
+
 def _flush_subnormal(p):
     # log-space binomials overflow or lose the tail on subnormal inputs
     return np.where(np.abs(p) >= sys.float_info.min, p, 0.0)
@@ -80,7 +85,7 @@ def _check_rows(probs: np.ndarray, dead: np.ndarray, what: str) -> None:
     ok = (probs >= 0.0).all(axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= _MASS_TOL)
     bad = np.flatnonzero(~ok & ~dead)
     if len(bad):
-        raise ValueError(f"{what}: row {bad[0]} is not a probability vector")
+        raise InvariantError(f"{what}: row {bad[0]} is not a probability vector")
 
 
 def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
@@ -404,6 +409,67 @@ def reset_probability_f(r: np.ndarray, n_links: int) -> tuple[np.ndarray, float]
         raise ValueError("reset probabilities must lie in [0, 1]")
     f, completion = _reset_rows(1.0 - r[None, :], n_links)
     return f[0], float(completion[0])
+
+
+def end_pairs_bound(m: int, pi0: float) -> float:
+    """``m * pi0``, an upper bound on ``expected_end_pairs`` at any depth and
+    distillation schedule: a burst never delivers more end pairs than one
+    elementary link generates.
+
+    Proof.  Write p_i for ``p_cond[i]`` (no mass at 0), q_i for ``q_cond[i]``
+    (q_i = p_i unless level i thins), K ~ p_i, Q ~ q_i, q0 = q_i(0),
+    p1 = p_i(1), and d for level i's success probability.  Let
+    s_0 = 1 - r_0 and s_{i+1} = s_i**2 (1 - r_{i+1}); then s_n is
+    ``completion_prob``, and mu_i = s_i E[K] runs from mu_0 = E[K0; K0 >= 1]
+    = m pi0 (K0 the binomial count; at a higher reset threshold mu_0 is
+    smaller) to mu_n = ``expected_end_pairs``.  It suffices that
+    mu_{i+1} <= s_i mu_i.  Pairing keeps min(Q, Q') of two independent
+    draws, with E[min] = sum_{k>=1} P(Q >= k)**2 <= (1 - q0) E[Q], and level
+    i + 1 conditions it on at least one pair: its mean is
+    E[min] / (1 - q0)**2.
+
+    - Level i does not thin.  Then q0 = 0 and r_{i+1} = 0, so
+      mu_{i+1} = s_i**2 E[min] <= s_i**2 E[K] = s_i mu_i.
+    - Level i thins and level i + 1 distills.  Q ~ Binomial(floor(K/2), d)
+      gives E[Q] <= d E[K] / 2, and 1 - r_{i+1} = (1 - q0)**2 + 2 q0 q_i(1)
+      <= (1 - q0)(1 + q0), so mu_{i+1} <= s_i**2 (1 + q0) E[Q]
+      <= s_i**2 d E[K] <= s_i mu_i.
+    - Level i thins and level i + 1 does not distill.  Then r_{i+1} = 0:
+      the (0, k) pairings are renormalized away, and
+      mu_{i+1} <= s_i**2 E[Q] / (1 - q0).  It remains that
+      E[Q] <= (1 - q0) E[K].  One attempt keeps a pair with probability d,
+      so 1 - q0 >= d (1 - p1); floor(k/2) <= (k - [k = 1]) / 2 gives
+      E[Q] <= d (E[K] - p1) / 2.  The claim follows if
+      (E[K] - p1) / 2 <= (1 - p1) E[K], that is E[K] (2 p1 - 1) <= p1:
+      at once when p1 <= 1/2, and from E[K] <= 1/p1 when p1 > 1/2, since
+      2 p1 - 1 <= p1**2.  E[K] <= 1/p1 holds when p_i's hazard
+      p_i(k) / P(K >= k) does not decrease on k >= 1 (then
+      P(K >= k) <= (1 - p1)**(k - 1)), which holds when p_i is log-concave.
+
+    Every p_i is log-concave, since every step keeps the stronger
+    ultra-log-concavity (ULC: k! a_k is log-concave without internal zeros).
+    The facts used are that convolution keeps sequences log-concave, that a
+    product of log-concave sequences is log-concave, and that so is every
+    arithmetic-progression subsequence of one.
+
+    - Generation: k! C(m, k) pi0**k (1 - pi0)**(m - k) =
+      m!/(m - k)! pi0**k (1 - pi0)**(m - k), and conditioning on K >= 1
+      restricts it to an interval.
+    - Grouping floor(K/2): c = a * (1, 1) is ULC (ULC is closed under
+      convolution: Walkup, J. Appl. Probab. 13, 76, 1976; Liggett, J. Combin.
+      Theory A 79, 315, 1997), and j! P(floor(K/2) = j) =
+      (2j+1)! c_{2j+1} * j!/(2j+1)!, a subsequence times a log-concave
+      factor.
+    - Binomial thinning: k! b_k = d**k sum_l u_{k+l} (1 - d)**l / l! with
+      u_j = j! a_j, the convolution of u with a reflected Poisson weight.
+    - Pairing: k! P(min = k) = k! a_k (S_k + S_{k+1}), where the upper tail S
+      is a's convolution with a step and S_k + S_{k+1} that with (1, 1);
+      conditioning on at least one pair is a restriction again.
+
+    So the bound holds for every schedule.  A computed row meets it to far
+    within 1e-12 relative; callers compare with that slack.
+    """
+    return m * pi0
 
 
 def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:

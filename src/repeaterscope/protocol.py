@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import metrics
-from .cascade import CascadeConfig, CertainResetError, run_cascade, run_cascade_batch
+from .cascade import (
+    CascadeConfig,
+    CertainResetError,
+    end_pairs_bound,
+    run_cascade,
+    run_cascade_batch,
+)
 from .channel import LinkBudget, MediumProfile, select_wavelength
 from .states import (
     BellDiagonal,
@@ -223,39 +229,80 @@ def evaluate_chain(
     )
 
 
-def evaluate_chains(
-    configs: Sequence[ProtocolConfig], cost: metrics.CostModel | None = None
-) -> list[PerformancePoint]:
-    """``evaluate_chain`` for chains that share one schedule: the same depth,
-    width, threshold, noise, spacing and signal velocity.
+@dataclass(frozen=True)
+class ChainPlan:
+    """Chains that share one schedule, planned but not yet evaluated.
 
-    Such chains differ only in their elementary success probability, so one
-    schedule and one batched count recursion serve them all; each point
-    equals ``evaluate_chain`` on its config, bit for bit.
+    Holds each chain's wavelength choice ``(wavelength_nm, pi0)``, the shared
+    schedule and its end state's key fraction: the inputs of both the SKR
+    bound and the count recursion, so that the bound costs no extra work.
     """
+
+    configs: tuple[ProtocolConfig, ...]
+    choices: tuple[tuple[int, float], ...]
+    trace: LevelTrace
+    key: float
+
+    def skr_bounds(self) -> list[float]:
+        """Each chain's SKR upper bound ``pi0 * key / 2**n``, formed as
+        ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves it).
+
+        A computed ``skr_pcu`` stays within 1e-12 relative of its bound.
+        """
+        return [
+            end_pairs_bound(c.m, pi0) * self.key / (c.m * (1 << c.n))
+            for c, (_, pi0) in zip(self.configs, self.choices)
+        ]
+
+    def evaluate(
+        self, rows: Sequence[int] | None = None, cost: metrics.CostModel | None = None
+    ) -> list[PerformancePoint]:
+        """Evaluate the chains at ``rows`` (all by default) in one batched
+        count recursion; each point is the same whatever else is evaluated
+        with it."""
+        rows = range(len(self.configs)) if rows is None else rows
+        configs = [self.configs[b] for b in rows]
+        choices = [self.choices[b] for b in rows]
+        try:
+            batch = run_cascade_batch(
+                [cascade_config(c, self.trace, pi0) for c, (_, pi0) in zip(configs, choices)]
+            )
+        except ValueError as exc:
+            raise ScheduleError(str(exc)) from exc
+        end_state = self.trace.end_state
+        points = []
+        for b, (config, (wavelength, _)) in enumerate(zip(configs, choices)):
+            if batch.certain_reset[b]:
+                point = _certain_reset_point(config, wavelength, end_state, batch.certain_reset[b])
+            else:
+                point = _performance_point(
+                    config, wavelength, end_state, self.key, cost,
+                    batch.expected_end_pairs[b], batch.completion_prob[b], batch.mass_defect[b],
+                    batch.swaps[b], batch.distill_attempts[b],
+                )
+            points.append(point)
+        return points
+
+
+def plan_chains(configs: Sequence[ProtocolConfig]) -> ChainPlan:
+    """Plan chains that share one schedule: the same depth, width, threshold,
+    noise, spacing and signal velocity.  Such chains differ only in their
+    elementary success probability, so one schedule serves them all."""
     def schedule_inputs(c: ProtocolConfig) -> tuple:
         return (c.n, c.m, c.f_th, c.noise, c.budget.l0_km, c.medium.signal_velocity_kms)
 
     if any(schedule_inputs(c) != schedule_inputs(configs[0]) for c in configs[1:]):
         raise ValueError("chains of one batch must share their schedule inputs")
-    choices = [select_wavelength(c.medium, c.budget) for c in configs]
+    choices = tuple(select_wavelength(c.medium, c.budget) for c in configs)
     trace = build_schedule(configs[0])
-    try:
-        batch = run_cascade_batch(
-            [cascade_config(c, trace, pi0) for c, (_, pi0) in zip(configs, choices)]
-        )
-    except ValueError as exc:
-        raise ScheduleError(str(exc)) from exc
-    key = key_fraction(trace.end_state)
-    points = []
-    for b, (config, (wavelength, _)) in enumerate(zip(configs, choices)):
-        if batch.certain_reset[b]:
-            point = _certain_reset_point(config, wavelength, trace.end_state, batch.certain_reset[b])
-        else:
-            point = _performance_point(
-                config, wavelength, trace.end_state, key, cost,
-                batch.expected_end_pairs[b], batch.completion_prob[b], batch.mass_defect[b],
-                batch.swaps[b], batch.distill_attempts[b],
-            )
-        points.append(point)
-    return points
+    return ChainPlan(tuple(configs), choices, trace, key_fraction(trace.end_state))
+
+
+def evaluate_chains(
+    configs: Sequence[ProtocolConfig], cost: metrics.CostModel | None = None
+) -> list[PerformancePoint]:
+    """``evaluate_chain`` for chains that share one schedule (see
+    ``plan_chains``): one schedule and one batched count recursion serve
+    them all, and each point equals ``evaluate_chain`` on its config, bit
+    for bit."""
+    return plan_chains(configs).evaluate(cost=cost)

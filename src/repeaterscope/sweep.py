@@ -22,7 +22,8 @@ from .channel import (
     conversion_threshold,
     default_media,
 )
-from .protocol import PerformancePoint, ProtocolConfig, evaluate_chains
+from .cascade import InvariantError
+from .protocol import PerformancePoint, ProtocolConfig, plan_chains
 from .states import NoiseParams
 
 DEFAULT_N_RANGE = tuple(range(0, 11))
@@ -86,6 +87,20 @@ class SweepRow:
     conv_eff_threshold: float
 
 
+# a computed skr_pcu can exceed its exact bound by rounding only
+_BOUND_SLACK = 1.0 + 1e-12
+
+
+def _can_win(bound: float, n: int, best: tuple[int, float, PerformancePoint] | None) -> bool:
+    """Whether a depth whose SKR is at most ``bound`` can replace ``best``:
+    exceed it, or tie it at a smaller n.  A NaN bound can (and then fails
+    the NaN check)."""
+    if best is None:
+        return True
+    bound, best_skr = bound * _BOUND_SLACK, best[2].skr_pcu
+    return not (bound < best_skr or (bound == best_skr and n > best[0]))
+
+
 def _best_depths(
     points: list[tuple[MediumProfile, float, float]],
     total_distance_km: float,
@@ -99,15 +114,18 @@ def _best_depths(
     point; ties keep the smaller n.
 
     The points must share their media's signal velocity: at each depth they
-    then share one schedule and go through one batched evaluation.
+    then share one schedule and go through one batched evaluation.  A depth
+    is evaluated only for the points its SKR bound (``ChainPlan.skr_bounds``)
+    lets win, and depths are scanned from the largest bound down, so the
+    result equals the full scan's while most depths are never evaluated.
     """
     if not n_range:
         raise ConfigurationError("n_range is empty")
     noise = NoiseParams(eps_g, t2=t2_s)
-    best: list[tuple[int, float, PerformancePoint] | None] = [None] * len(points)
-    for n in sorted(n_range):
+    scan = []
+    for n in n_range:
         l0 = total_distance_km / (1 << n)
-        configs = [
+        plan = plan_chains([
             ProtocolConfig(
                 medium=medium,
                 budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0),
@@ -117,11 +135,26 @@ def _best_depths(
                 f_th=f_th,
             )
             for medium, conv, eta_hw in points
-        ]
-        for i, point in enumerate(evaluate_chains(configs)):
+        ])
+        bounds = plan.skr_bounds()
+        # a NaN bound sorts first, so that its depth is evaluated and rejected
+        top = max(math.inf if math.isnan(b) else b for b in bounds)
+        scan.append((-top, n, l0, plan, bounds))
+    scan.sort(key=lambda entry: entry[:2])
+    best: list[tuple[int, float, PerformancePoint] | None] = [None] * len(points)
+    for _, n, l0, plan, bounds in scan:
+        live = [i for i, bound in enumerate(bounds) if _can_win(bound, n, best[i])]
+        if not live:
+            continue
+        for i, point in zip(live, plan.evaluate(live)):
             if math.isnan(point.skr_pcu):
-                raise ValueError(f"skr_pcu is NaN at n={n}")
-            if best[i] is None or point.skr_pcu > best[i][2].skr_pcu:
+                raise InvariantError(f"skr_pcu is NaN at n={n}")
+            held = best[i]
+            if (
+                held is None
+                or point.skr_pcu > held[2].skr_pcu
+                or (point.skr_pcu == held[2].skr_pcu and n < held[0])
+            ):
                 best[i] = (n, l0, point)
     return best
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -11,11 +11,13 @@ from repeaterscope import cascade
 from repeaterscope.cascade import (
     CascadeConfig,
     CertainResetError,
+    InvariantError,
     PairCountDistribution,
     conditional_init,
     conditional_level_update,
     delta_distribution,
     distillation_thinning,
+    end_pairs_bound,
     generation_distribution,
     pair_minimum,
     reset_probability_f,
@@ -24,7 +26,7 @@ from repeaterscope.cascade import (
 )
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 
-from conftest import count_distribution
+from conftest import assert_end_pairs_bounded, count_distribution
 
 
 def aligned_tv(p: np.ndarray, q: np.ndarray) -> float:
@@ -358,7 +360,7 @@ class TestRunCascadeBatch:
             return out
 
         monkeypatch.setattr(cascade, "_thinning_table", poisoned)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="distillation at level 0"):
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError, match="distillation at level 0"):
             run_cascade_batch(self.configs([0.35]))
 
     @pytest.mark.parametrize("n", [0, 2])
@@ -370,3 +372,64 @@ class TestRunCascadeBatch:
         expected = binom.sf(0, 16, pi0) ** (1 << n)
         assert report.completion_prob == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert report.f.sum() + report.completion_prob == pytest.approx(1.0, abs=1e-12)
+
+
+# the smallest normal double, a subnormal and the smallest subnormal
+_EXTREME_PI0 = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-15, 1.0)
+
+
+@st.composite
+def cascade_batches(draw):
+    """Configurations sharing a random valid schedule: any flag pattern the
+    width allows, any success probability in [0, 1], m from 1 to 1024."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=1024))
+    flags, width = [], m
+    for _ in range(n):
+        flag = width >= 2 and draw(st.booleans())
+        flags.append(flag)
+        width //= 2 if flag else 1
+    flags.append(False)
+    success = tuple(draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(n + 1))
+    pi0 = st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(_EXTREME_PI0),
+        st.floats(min_value=-16.0, max_value=0.0).map(lambda e: 10.0**e),
+    )
+    return [
+        CascadeConfig(n=n, m=m, pi0=p, distill_flags=tuple(flags), distill_success=success)
+        for p in draw(st.lists(pi0, min_size=1, max_size=4))
+    ]
+
+
+class TestEndPairsBound:
+    """``end_pairs_bound`` on the batch API: at most ``m * pi0`` end pairs,
+    and mu_i = s_i E[p_i] does not grow from level to level."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cascade_batches())
+    @example([CascadeConfig(n=4, m=1, pi0=p) for p in (0.3, 5e-324, 1.0)])
+    @example([CascadeConfig(n=12, m=1024, pi0=p) for p in (1e-300, 1e-3, 0.9)])
+    @example(
+        [
+            CascadeConfig(
+                n=12, m=1024, pi0=p, distill_flags=(True,) * 10 + (False,) * 3,
+                distill_success=(0.5,) * 13,
+            )
+            for p in (5e-324, 2.2250738585072014e-308, 0.05, 1.0)
+        ]
+    )
+    def test_bound_and_level_means(self, configs):
+        with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
+            batch = run_cascade_batch(configs)
+        assert_end_pairs_bounded(batch, configs)
+
+    def test_subnormal_success_resets_with_certainty(self):
+        batch = run_cascade_batch([CascadeConfig(n=2, m=16, pi0=5e-324)])
+        assert batch.certain_reset[0] is not None
+        assert end_pairs_bound(16, 5e-324) == 16 * 5e-324
+
+    def test_bound_is_reached_by_a_lossless_chain(self):
+        # every link fills all m slots and nothing distills: the bound is tight
+        report = run_cascade(CascadeConfig(n=3, m=8, pi0=1.0))
+        assert report.expected_end_pairs == end_pairs_bound(8, 1.0) == 8.0

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repeaterscope.cascade import CascadeConfig
+from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.channel import LinkBudget, hcf_profile, select_wavelength, smf_profile
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 from repeaterscope.protocol import (
     ProtocolConfig,
     build_schedule,
+    cascade_config,
     evaluate_chain,
+    evaluate_chains,
+    plan_chains,
     wait_time,
 )
 from repeaterscope.states import (
@@ -20,6 +25,8 @@ from repeaterscope.states import (
     key_fraction,
     swap,
 )
+
+from conftest import assert_end_pairs_bounded
 
 HCF = hcf_profile()
 SMF = smf_profile()
@@ -172,3 +179,50 @@ class TestEvaluateChain:
         full = evaluate_chain(make_config(eta_hw=1.0))
         scaled = evaluate_chain(make_config(eta_hw=0.3))
         assert full.wavelength_used_nm == scaled.wavelength_used_nm
+
+
+@st.composite
+def chain_configs(draw):
+    """Random valid chains, out to the noise extremes: eps_g up to its 0.8
+    bound and T2 down to 1e-12 s."""
+    return make_config(
+        medium=draw(st.sampled_from((HCF, SMF))),
+        l0=draw(st.floats(min_value=0.01, max_value=400.0)),
+        conv=draw(st.floats(min_value=0.0, max_value=1.0)),
+        eta_hw=draw(st.floats(min_value=0.0, max_value=1.0)),
+        eps=draw(st.one_of(st.floats(min_value=0.0, max_value=0.8), st.just(0.8))),
+        t2=draw(st.one_of(st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0**e),
+                          st.just(math.inf))),
+        n=draw(st.integers(min_value=0, max_value=12)),
+        m=draw(st.integers(min_value=1, max_value=1024)),
+        f_th=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+
+
+class TestSkrBound:
+    """``ChainPlan.skr_bounds`` against the evaluated chain, and the end-pair
+    bound on the recursion input the chain builds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_configs())
+    @example(make_config(eps=0.8, t2=1e-12, n=12, m=1024, f_th=0.99))
+    @example(make_config(eps=1e-4, t2=1e-12, n=6, m=1024, f_th=0.5))
+    @example(make_config(m=1, n=12, l0=0.5))
+    def test_skr_within_bound(self, config):
+        plan = plan_chains([config])
+        (bound,) = plan.skr_bounds()
+        (point,) = plan.evaluate()
+        assert 0.0 <= point.skr_pcu <= bound * (1.0 + 1e-12)
+        assert point == evaluate_chain(config)
+        _, pi0 = plan.choices[0]
+        cc = [cascade_config(config, plan.trace, pi0)]
+        with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
+            batch = run_cascade_batch(cc)
+        assert_end_pairs_bounded(batch, cc)
+
+    def test_evaluating_a_subset_leaves_rows_unchanged(self):
+        configs = [make_config(conv=c, n=3, m=64, eps=1e-2, f_th=0.99) for c in (0.3, 0.5, 0.7, 1.0)]
+        plan = plan_chains(configs)
+        assert plan.trace.distill_flags[0]
+        full = evaluate_chains(configs)
+        assert plan.evaluate([3, 1]) == [full[3], full[1]]

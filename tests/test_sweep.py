@@ -9,7 +9,14 @@ import sys
 import pytest
 
 from repeaterscope import protocol, sweep
-from repeaterscope.channel import ConfigurationError, LinkBudget, hcf_profile, smf_profile
+from repeaterscope.cascade import InvariantError
+from repeaterscope.channel import (
+    ConfigurationError,
+    LinkBudget,
+    default_media,
+    hcf_profile,
+    smf_profile,
+)
 from repeaterscope.protocol import ProtocolConfig, evaluate_chain, evaluate_chains
 from repeaterscope.states import NoiseParams
 from repeaterscope.sweep import (
@@ -74,7 +81,7 @@ class TestOptimizeDepth:
 
     def test_nan_rate_raises_instead_of_losing_every_comparison(self, monkeypatch):
         monkeypatch.setattr(protocol, "key_fraction", lambda state: math.nan)
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(InvariantError, match="NaN"):
             optimize_depth(100.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0, 1))
 
     def test_hcf_supports_wider_spacing_at_500km(self):
@@ -296,6 +303,99 @@ class TestFigurePresets:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             figure_preset("fig99")
+
+
+def full_scan(spec):
+    """The rows of an ascending scan over every depth of ``spec.n_range``,
+    built from ``evaluate_chains`` alone: ties keep the smaller n."""
+    media = default_media()
+    keys = [
+        (name, dist, conv, eta_hw, t2, eps)
+        for name in spec.media
+        for dist in spec.total_distance_km
+        for conv in spec.conv_eff
+        for eta_hw in spec.eta_hardware
+        for t2 in spec.t2_s
+        for eps in spec.eps_g
+    ]
+    groups = {}
+    for key in keys:
+        name, dist, _, _, t2, eps = key
+        groups.setdefault((media[name].signal_velocity_kms, dist, t2, eps), []).append(key)
+    best = {}
+    for (_, dist, t2, eps), members in groups.items():
+        for n in sorted(spec.n_range):
+            l0 = dist / (1 << n)
+            configs = [
+                ProtocolConfig(
+                    medium=media[name],
+                    budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0),
+                    noise=NoiseParams(eps, t2=t2),
+                    n=n,
+                    m=spec.m,
+                    f_th=spec.f_th,
+                )
+                for name, _, conv, eta_hw, _, _ in members
+            ]
+            for key, point in zip(members, evaluate_chains(configs)):
+                if key not in best or point.skr_pcu > best[key][2].skr_pcu:
+                    best[key] = (n, l0, point)
+    return [sweep._sweep_row(spec, media[key[0]], key, best[key]) for key in keys]
+
+
+class TestPrunedDepthScan:
+    """The sweep skips depths whose SKR bound cannot win; its rows must be
+    those of the full scan, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name",
+        # the full skr_curves scan alone takes about 6 s: run it with -m slow
+        ["fig3", "fig5", "fig6", "fig8", pytest.param("skr_curves", marks=pytest.mark.slow)],
+    )
+    def test_rows_equal_the_full_scan(self, name):
+        spec = figure_preset(name)
+        pruned = run_sweep(spec)
+        full = full_scan(spec)
+        assert [r.best_n for r in pruned] == [r.best_n for r in full]
+        assert [r.wavelength_used_nm for r in pruned] == [r.wavelength_used_nm for r in full]
+        assert rows_to_csv(pruned) == rows_to_csv(full)
+
+    def test_fig5_skips_most_batched_recursions(self, monkeypatch):
+        # 20 groups x 11 depths: the full scan makes 220 batched calls
+        calls = []
+        real = protocol.run_cascade_batch
+        monkeypatch.setattr(
+            protocol, "run_cascade_batch", lambda configs: calls.append(len(configs)) or real(configs)
+        )
+        run_sweep(figure_preset("fig5"))
+        print(f"fig5: {len(calls)} batched calls, {sum(calls)} rows (full scan: 220, 1760)")
+        assert len(calls) < 220
+        assert sum(calls) < 1760
+
+    def test_only_a_larger_bound_or_a_tie_at_smaller_n_can_win(self):
+        point = optimize_depth(80.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0,))[2]
+
+        def held(skr):
+            return (3, 10.0, dataclasses.replace(point, skr_pcu=skr))
+
+        assert sweep._can_win(1.0, 4, held(1.0))  # within the rounding slack
+        assert not sweep._can_win(1.0 - 1e-11, 4, held(1.0))
+        assert not sweep._can_win(0.99, 2, held(1.0))
+        assert sweep._can_win(0.0, 2, held(0.0))
+        assert not sweep._can_win(0.0, 4, held(0.0))
+        assert sweep._can_win(math.nan, 4, held(1.0))
+        assert sweep._can_win(0.0, 4, None)
+
+    def test_zero_rates_keep_the_smallest_depth(self, monkeypatch):
+        # every rate is 0; looser bounds that grow with n make the scan start
+        # at the deepest depth, and the tie must still go to n = 0
+        monkeypatch.setattr(
+            protocol.ChainPlan, "skr_bounds", lambda plan: [1.0 + c.n for c in plan.configs]
+        )
+        n, _, point = optimize_depth(
+            100.0, hcf_profile(), 0.5, 0.0, 1.0, 1e-3, m=8, n_range=(3, 0, 1, 2)
+        )
+        assert (n, point.skr_pcu) == (0, 0.0)
 
 
 class TestCli:
