@@ -16,7 +16,6 @@ from repeaterscope import sweep
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figure_data")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument(
         "--presets",
         nargs="*",
@@ -26,14 +25,13 @@ def main() -> int:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = sweep.resolve_threads(args.threads)
 
     swept = {}
     for name in args.presets:
         spec = sweep.figure_preset(name)
         t0 = time.perf_counter()
         if spec not in swept:
-            swept[spec] = sweep.run_sweep(spec, threads=threads)
+            swept[spec] = sweep.run_sweep(spec)
         rows = swept[spec]
         path = out_dir / f"{name}.csv"
         sweep.write_csv(rows, str(path))

@@ -10,14 +10,14 @@ import sys
 
 import numpy as np
 
-from repeaterscope.cascade import CascadeConfig, run_cascade
+from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 
 
 def compare(config: CascadeConfig, trials: int, seed: int) -> None:
-    report = run_cascade(config)
+    batch = run_cascade_batch([config])
     mc = mc_cascade(config, MonteCarloConfig(trials=trials, seed=seed))
-    analytic = report.end_distribution.probs
+    analytic = batch.p_cond[-1][0]
     empirical = mc.end_distribution
     width = max(len(analytic), len(empirical))
     a = np.zeros(width)
@@ -29,15 +29,15 @@ def compare(config: CascadeConfig, trials: int, seed: int) -> None:
     print(
         f"n={config.n} m={config.m} pi0={config.pi0} "
         f"distill={config.distill_flags}: TV={tv:.5f} "
-        f"completion {report.completion_prob:.5f} vs {comp:.5f}+-{comp_se:.5f}"
+        f"completion {batch.completion_prob[0]:.5f} vs {comp:.5f}+-{comp_se:.5f}"
     )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=20260809)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for pi0 in (0.1, 0.3, 0.7):
         compare(CascadeConfig(n=2, m=16, pi0=pi0), args.trials, args.seed)

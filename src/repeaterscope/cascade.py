@@ -42,7 +42,8 @@ def _flush_subnormal(p):
 
 
 def _binomial_rows(n: int, p: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) pmf over k = 0..n for each entry of ``p``, in log space."""
+    """Binomial(n, p) pmf over k = 0..n for each entry of ``p``, in log space:
+    the count of simultaneous elementary-link successes over n channels."""
     p = _flush_subnormal(np.asarray(p, dtype=np.float64))
     rows = np.zeros((len(p), n + 1))
     rows[p == 0.0, 0] = 1.0
@@ -89,7 +90,12 @@ def _check_rows(probs: np.ndarray, dead: np.ndarray, what: str) -> None:
 
 
 def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
-    """Distillation thinning of each row; see ``distillation_thinning``."""
+    """Thin each row's count through one round of pairwise distillation.
+
+    k input pairs form floor(k/2) disjoint attempts, each surviving with
+    probability ``d``; an odd leftover pair is consumed.  ``cap`` is the
+    output support bound floor(M_i / 2).
+    """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"d must lie in [0, 1], got {d}")
     mmax = (probs.shape[1] - 1) // 2
@@ -110,7 +116,8 @@ def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
 
 
 def _paired_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized min(K1, K2) of two i.i.d. rows, and each row's upper tail."""
+    """Unnormalized min(K1, K2) of two i.i.d. segment counts drawn from each
+    row, and each row's upper tail."""
     cum = np.cumsum(q, axis=1)
     tail = cum[:, -1:] - cum  # sum_{j > k} q_j
     return q * q + 2.0 * q * tail, tail
@@ -119,8 +126,11 @@ def _paired_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _init_rows(m: int, pi0, reset_threshold: int):
     """Generation: ``(r0, survival, conditioned rows, certain-reset mask)``.
 
-    The survival ``1 - r0`` of a single link cancels when ``m * pi0`` is
-    small; at threshold 1 it is taken from ``1 - (1 - pi0)**m`` directly.
+    ``r0`` is the probability that a single link produces fewer than
+    ``reset_threshold`` pairs; the rows are the Binomial(m, pi0) count
+    conditioned on clearing the threshold.  The survival ``1 - r0`` of a
+    single link cancels when ``m * pi0`` is small; at threshold 1 it is
+    taken from ``1 - (1 - pi0)**m`` directly.
     """
     if reset_threshold < 1:
         raise ValueError("reset threshold must be at least 1")
@@ -140,7 +150,13 @@ def _init_rows(m: int, pi0, reset_threshold: int):
 def _level_rows(q: np.ndarray, distill_next: bool):
     """One pairing level: ``(r, next rows, defect, mean min, failure codes)``.
 
-    Failure code 1 marks a certain reset, 2 a pairing that keeps no pair.
+    Pairs two segments of each row, counts the reset and renormalizes.  The
+    reset probability ``r`` counts the pairings (0, 0) and (0, >=2), and
+    only when a distillation is scheduled at the destination level
+    (``distill_next``); the (0, 1) pairing mass and, at non-distilling
+    levels, all zero-pairing mass is removed by renormalization and returned
+    as ``defect``.  Failure code 1 marks a certain reset, 2 a pairing that
+    keeps no pair.
     """
     paired, tail = _paired_rows(q)
     mean_min = _row_means(paired / paired.sum(axis=1, keepdims=True), np.arange(q.shape[1]))
@@ -164,8 +180,13 @@ _LEVEL_FAILURES = (None, "reset occurs with probability one", "no pairing outcom
 
 
 def _reset_rows(survive: np.ndarray, n_links: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-level burst reset probabilities and completion, from the
-    per-segment survival probability of each level."""
+    """Per-level burst reset probabilities ``f`` and the completion
+    probability, from the per-segment survival probability of each level.
+
+    Level i holds ``n_links / 2**i`` independent segments, each surviving
+    with probability ``survive[:, i]`` (``1 - r_i``); each row's ``f`` and
+    completion sum to one.
+    """
     f = np.zeros_like(survive)
     carried = np.ones(len(survive))
     for i in range(survive.shape[1]):
@@ -174,41 +195,6 @@ def _reset_rows(survive: np.ndarray, n_links: int) -> tuple[np.ndarray, np.ndarr
         f[:, i] = carried * (1.0 - level_survive)
         carried = carried * level_survive
     return f, carried
-
-
-class CertainResetError(RuntimeError):
-    """Raised when the chain resets with probability one."""
-
-
-@dataclass(frozen=True)
-class PairCountDistribution:
-    """Probability vector over pair counts k = 0 .. len(probs) - 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probs must be a non-empty 1-D vector")
-        if not np.isfinite(arr).all():
-            raise ValueError("probabilities must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(arr.sum() - 1.0) > _MASS_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {arr.sum()!r}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    def mean(self) -> float:
-        return float(np.arange(len(self.probs)) @ self.probs)
-
-
-def delta_distribution(k: int, width: int | None = None) -> PairCountDistribution:
-    size = (width if width is not None else k) + 1
-    probs = np.zeros(size)
-    probs[k] = 1.0
-    return PairCountDistribution(probs)
 
 
 @dataclass(frozen=True)
@@ -292,6 +278,12 @@ class CascadeBatch:
     run dry before the level executes.  ``certain_reset[b]`` names why row b
     resets with probability one, or is None; the other entries of such a
     row carry no meaning.  ``p_cond``/``q_cond`` hold each level's rows.
+
+    ``completion_prob`` is the product of per-level no-reset factors
+    ``(1 - r_i) ** (N / 2**i)``; together with the reset probabilities ``f``
+    it sums to one.  ``mass_defect[:, i]`` is the pairing mass at level i
+    that the termination bookkeeping neither kept nor counted as reset,
+    removed by renormalization (zero whenever no distillation ran below).
     """
 
     p_cond: tuple[np.ndarray, ...]
@@ -304,111 +296,6 @@ class CascadeBatch:
     swaps: np.ndarray
     distill_attempts: np.ndarray
     certain_reset: tuple[str | None, ...]
-
-
-@dataclass(frozen=True)
-class CascadeReport:
-    """Everything the recursion produces for one configuration.
-
-    ``completion_prob`` is the product of per-level no-reset factors
-    ``(1 - r_i) ** (N / 2**i)``; together with the reset probabilities ``f``
-    it sums to one.  ``mass_defect[i]`` is the pairing mass at level i that
-    the termination bookkeeping neither kept nor counted as reset, removed
-    by renormalization (zero whenever no distillation ran below).
-    ``swaps``/``distill_attempts`` are as in ``CascadeBatch``.
-    """
-
-    config: CascadeConfig
-    p_cond: tuple[PairCountDistribution, ...]
-    q_cond: tuple[PairCountDistribution, ...]
-    r: np.ndarray
-    f: np.ndarray
-    completion_prob: float
-    expected_end_pairs: float
-    mass_defect: np.ndarray
-    swaps: np.ndarray
-    distill_attempts: np.ndarray
-
-    @property
-    def end_distribution(self) -> PairCountDistribution:
-        return self.p_cond[-1]
-
-
-def generation_distribution(m: int, pi0: float) -> PairCountDistribution:
-    """Binomial(m, pi0) count of simultaneous elementary-link successes."""
-    if m < 1:
-        raise ValueError("multiplexing width must be at least 1")
-    if not 0.0 <= pi0 <= 1.0:
-        raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
-    return PairCountDistribution(_binomial_rows(m, [pi0])[0])
-
-
-def distillation_thinning(
-    dist: PairCountDistribution, d: float, cap: int
-) -> PairCountDistribution:
-    """Thin a count distribution through one round of pairwise distillation.
-
-    k input pairs form floor(k/2) disjoint attempts, each surviving with
-    probability ``d``; an odd leftover pair is consumed.  ``cap`` is the
-    output support bound floor(M_i / 2).
-    """
-    return PairCountDistribution(_thin_rows(dist.probs[None, :], d, cap)[0])
-
-
-def pair_minimum(dist: PairCountDistribution) -> PairCountDistribution:
-    """Distribution of min(K1, K2) for two i.i.d. segment counts."""
-    paired, _ = _paired_rows(dist.probs[None, :])
-    return PairCountDistribution(paired[0] / paired[0].sum())
-
-
-def conditional_init(
-    m: int, pi0: float, reset_threshold: int = 1
-) -> tuple[float, PairCountDistribution]:
-    """Generation reset probability and the conditioned count distribution.
-
-    ``r0`` is the probability that a single link produces fewer than
-    ``reset_threshold`` pairs; the returned distribution is the binomial
-    conditioned on clearing the threshold.
-    """
-    r0, _, cond, dead = _init_rows(m, np.array([pi0]), reset_threshold)
-    if dead[0]:
-        raise CertainResetError(_init_failure(m, pi0, reset_threshold))
-    return float(r0[0]), PairCountDistribution(cond[0])
-
-
-def _init_failure(m: int, pi0: float, reset_threshold: int) -> str:
-    return f"generation cannot reach the threshold {reset_threshold} (m={m}, pi0={pi0})"
-
-
-def conditional_level_update(
-    q_prev: PairCountDistribution, distill_scheduled: bool
-) -> tuple[float, PairCountDistribution, float]:
-    """One level of the conditional track: pairing, reset, renormalization.
-
-    Returns ``(r_i, p_cond_i, defect)``.  The reset probability counts the
-    pairings (0, 0) and (0, >=2) and only when a distillation is scheduled
-    at the destination level; the (0, 1) pairing mass and, at non-distilling
-    levels, all zero-pairing mass is removed by renormalization and returned
-    as ``defect``.
-    """
-    r, nxt, defect, _, failure = _level_rows(q_prev.probs[None, :], distill_scheduled)
-    if failure[0]:
-        raise CertainResetError(_LEVEL_FAILURES[failure[0]])
-    return float(r[0]), PairCountDistribution(nxt[0]), float(defect[0])
-
-
-def reset_probability_f(r: np.ndarray, n_links: int) -> tuple[np.ndarray, float]:
-    """Per-level burst reset probabilities and the completion probability.
-
-    Level i holds ``n_links / 2**i`` independent segments, each surviving
-    with probability ``1 - r[i]``; the returned vector and the completion
-    probability sum to one exactly.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if np.any((r < 0.0) | (r > 1.0)):
-        raise ValueError("reset probabilities must lie in [0, 1]")
-    f, completion = _reset_rows(1.0 - r[None, :], n_links)
-    return f[0], float(completion[0])
 
 
 def end_pairs_bound(m: int, pi0: float) -> float:
@@ -474,7 +361,7 @@ def end_pairs_bound(m: int, pi0: float) -> float:
 
 def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
     """Run the recursion once for configurations that differ only in ``pi0``;
-    each row equals ``run_cascade`` on its configuration, bit for bit.
+    each row is the same, bit for bit, whatever else shares its batch.
 
     Each level's rows are checked once: finite, non-negative, unit mass.
     """
@@ -493,7 +380,11 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
 
     pi0 = [c.pi0 for c in configs]
     r0, survive0, p, no_mass = _init_rows(head.m, pi0, head.reset_threshold)
-    fail(no_mass, lambda b: _init_failure(head.m, pi0[b], head.reset_threshold))
+    fail(
+        no_mass,
+        lambda b: f"generation cannot reach the threshold {head.reset_threshold} "
+        f"(m={head.m}, pi0={pi0[b]})",
+    )
     _check_rows(p, dead, "generation")
     p_cond, q_cond, r, survive, defects = [p], [], [r0], [survive0], [zeros]
     swaps, attempts = [], []
@@ -532,23 +423,4 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
         swaps=np.column_stack(swaps),
         distill_attempts=np.column_stack(attempts),
         certain_reset=tuple(failures),
-    )
-
-
-def run_cascade(config: CascadeConfig) -> CascadeReport:
-    """The recursion for one configuration, with each level's distributions."""
-    batch = run_cascade_batch([config])
-    if batch.certain_reset[0]:
-        raise CertainResetError(batch.certain_reset[0])
-    return CascadeReport(
-        config=config,
-        p_cond=tuple(PairCountDistribution(p[0]) for p in batch.p_cond),
-        q_cond=tuple(PairCountDistribution(q[0]) for q in batch.q_cond),
-        r=batch.r[0],
-        f=batch.f[0],
-        completion_prob=float(batch.completion_prob[0]),
-        expected_end_pairs=float(batch.expected_end_pairs[0]),
-        mass_defect=batch.mass_defect[0],
-        swaps=batch.swaps[0],
-        distill_attempts=batch.distill_attempts[0],
     )

@@ -28,7 +28,7 @@ from .channel import (
     select_wavelength,
 )
 from .coupling import QuadratureError, SolverError
-from .protocol import ProtocolConfig, build_schedule, cascade_config, evaluate_chain
+from .protocol import ProtocolConfig, cascade_config, plan_chains
 from .states import NoiseParams, key_fraction
 
 EXIT_CONFIG = 2
@@ -121,7 +121,8 @@ def _chain_payload(args: argparse.Namespace) -> dict:
         m=args.m,
         f_th=args.f_th,
     )
-    point = evaluate_chain(config)
+    plan = plan_chains([config])
+    point = plan.evaluate()[0]
     payload = {
         "medium": medium.name,
         "n": point.n,
@@ -142,7 +143,6 @@ def _chain_payload(args: argparse.Namespace) -> dict:
     if point.diagnostic:
         payload["diagnostic"] = point.diagnostic
     if args.trace:
-        trace = build_schedule(config)
         payload["trace"] = [
             {
                 "level": step.level,
@@ -152,13 +152,13 @@ def _chain_payload(args: argparse.Namespace) -> dict:
                 "distill_success": step.distill_success,
                 "post_fidelity": step.fidelity,
             }
-            for step in trace.steps
+            for step in plan.trace.steps
         ]
     if args.oracle:
         from .oracle import MonteCarloConfig, mc_cascade
 
-        _, pi0 = select_wavelength(medium, config.budget)
-        cc = cascade_config(config, build_schedule(config), pi0)
+        _, pi0 = plan.choices[0]
+        cc = cascade_config(config, plan.trace, pi0)
         mc = mc_cascade(cc, MonteCarloConfig(trials=args.trials, seed=args.seed))
         comp, comp_se = mc.completion_estimate()
         payload["oracle"] = {
@@ -185,17 +185,13 @@ def _rows_out(rows, fmt: str, out: str | None) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     spec, profiles = sweep.load_config(args.config)
-    threads = sweep.resolve_threads(args.threads)
-    rows = sweep.run_sweep(
-        dataclasses.replace(spec, output_path=None), profiles, threads=threads
-    )
+    rows = sweep.run_sweep(dataclasses.replace(spec, output_path=None), profiles)
     _rows_out(rows, args.format, args.out or spec.output_path)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     spec = sweep.figure_preset(args.name)
-    threads = sweep.resolve_threads(args.threads)
-    rows = sweep.run_sweep(spec, threads=threads)
+    rows = sweep.run_sweep(spec)
     _rows_out(rows, args.format, args.out)
 
 
@@ -244,14 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = sub.add_parser("sweep", help="run a sweep from a JSON config")
     sweep_cmd.add_argument("--config", required=True)
     sweep_cmd.add_argument("--out")
-    sweep_cmd.add_argument("--threads", type=int, default=None, help="accepted; no effect")
     sweep_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     figure = sub.add_parser("figure", help="run a named preset sweep")
     figure.add_argument("name")
     figure.add_argument("--out")
-    figure.add_argument("--threads", type=int, default=None, help="accepted; no effect")
     figure.add_argument("--format", choices=("csv", "json"), default="csv")
     figure.set_defaults(func=_cmd_figure)
 

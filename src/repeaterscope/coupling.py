@@ -357,13 +357,6 @@ def near_cutoff_smf(
     return StepIndexFiber(core_radius_um=a, n1=SILICA_INDEX, n2=n2, ar_coated=ar_coated)
 
 
-def smf28_like(ar_coated: bool = False) -> StepIndexFiber:
-    """Physical telecom-fiber preset: 4.1 um core, NA 0.117."""
-    na = 0.117
-    n2 = math.sqrt(SILICA_INDEX**2 - na**2)
-    return StepIndexFiber(core_radius_um=4.1, n1=SILICA_INDEX, n2=n2, ar_coated=ar_coated)
-
-
 def effective_coupling(
     target: StepIndexFiber | str,
     theta_tol_rad: float,

@@ -1,4 +1,4 @@
-"""Operational cost accounting and ratio helpers for medium comparisons.
+"""Operational cost accounting for medium comparisons.
 
 Costs count the expected repeater operations actually performed in a burst:
 each swap is one Bell measurement worth of gates, each distillation attempt
@@ -12,10 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
-
-from .cascade import pair_minimum  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import PerformancePoint
@@ -58,7 +54,7 @@ def ops_per_burst(
     """Expected swap and distillation operations in one burst, and their cost.
 
     ``swaps``/``distill_attempts`` hold the expected operations at each
-    level, as the count recursion reports them (``CascadeReport.swaps``).
+    level, as the count recursion reports them (``CascadeBatch.swaps``).
     """
     cost = cost or CostModel()
     swap_total = float(sum(swaps, 0.0))
@@ -79,19 +75,3 @@ def ops_per_secret_bit(point: "PerformancePoint") -> float:
         return math.inf
     return point.ops.two_qubit_gates / secret_bits
 
-
-def ratio_grid(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Elementwise ratio with sentinel handling for zero denominators.
-
-    A zero denominator with positive numerator maps to +inf (the saturated
-    top bin); zero over zero maps to NaN (rendered blank).
-    """
-    a = np.asarray(numer, dtype=np.float64)
-    b = np.asarray(denom, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"grid shapes differ: {a.shape} vs {b.shape}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a / b
-    out = np.where((b == 0.0) & (a > 0.0), np.inf, out)
-    out = np.where((b == 0.0) & (a == 0.0), np.nan, out)
-    return out

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import metrics
-from .cascade import (
-    CascadeConfig,
-    CertainResetError,
-    end_pairs_bound,
-    run_cascade,
-    run_cascade_batch,
-)
+from .cascade import CascadeConfig, end_pairs_bound, run_cascade_batch
 from .channel import LinkBudget, MediumProfile, select_wavelength
 from .states import (
     BellDiagonal,
@@ -214,19 +208,7 @@ def evaluate_chain(
     config: ProtocolConfig, cost: metrics.CostModel | None = None
 ) -> PerformancePoint:
     """Full evaluation: wavelength choice, schedule, count recursion, SKR."""
-    wavelength, pi0 = select_wavelength(config.medium, config.budget)
-    trace = build_schedule(config)
-    try:
-        report = run_cascade(cascade_config(config, trace, pi0))
-    except CertainResetError as exc:
-        return _certain_reset_point(config, wavelength, trace.end_state, exc)
-    except ValueError as exc:
-        raise ScheduleError(str(exc)) from exc
-    return _performance_point(
-        config, wavelength, trace.end_state, key_fraction(trace.end_state), cost,
-        report.expected_end_pairs, report.completion_prob, report.mass_defect,
-        report.swaps, report.distill_attempts,
-    )
+    return evaluate_chains([config], cost)[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, fields
 
 from . import metrics
@@ -315,22 +314,6 @@ def load_config(path: str) -> tuple[SweepSpec, dict[str, MediumProfile]]:
     media_raw = raw.pop("media_profiles", {})
     profiles = media_from_dict(media_raw) if media_raw else {}
     return spec_from_dict(raw), profiles
-
-
-def resolve_threads(cli_value: int | None) -> int:
-    """Worker count: explicit flag wins, then the THREADS variable, then 1.
-
-    ``run_sweep`` accepts the count and runs serially whatever it is.
-    """
-    if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get("THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad THREADS value {env!r}") from exc
-    return 1
 
 
 _DISTANCES = tuple(float(d) for d in range(100, 1001, 100))

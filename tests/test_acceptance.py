@@ -14,8 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from repeaterscope import coupling as cp
-from repeaterscope.cascade import CascadeConfig, pair_minimum, run_cascade
-from repeaterscope.cascade import PairCountDistribution
+from repeaterscope.cascade import CascadeConfig, _paired_rows, run_cascade_batch
 from repeaterscope.channel import (
     LinkBudget,
     MEMORY_NM,
@@ -115,9 +114,9 @@ def test_criterion_5_cascade_vs_monte_carlo():
             config = CascadeConfig(
                 n=2, m=16, pi0=pi0, distill_flags=flags, distill_success=succ
             )
-            analytic = run_cascade(config)
+            analytic = run_cascade_batch([config])
             mc = mc_cascade(config, MonteCarloConfig(trials=1_000_000, seed=20260809))
-            a = analytic.end_distribution.probs
+            a = analytic.p_cond[-1][0]
             e = mc.end_distribution
             width = max(len(a), len(e))
             pa = np.zeros(width)
@@ -126,7 +125,7 @@ def test_criterion_5_cascade_vs_monte_carlo():
             pe[: len(e)] = e
             worst_tv = max(worst_tv, 0.5 * float(np.abs(pa - pe).sum()))
             comp, comp_se = mc.completion_estimate()
-            dev = abs(analytic.completion_prob - comp) / max(comp_se, 1e-12)
+            dev = abs(analytic.completion_prob[0] - comp) / max(comp_se, 1e-12)
             worst_dev = max(worst_dev, dev)
     elapsed = time.perf_counter() - t0
     ok = worst_tv < 0.01 and worst_dev <= 3.0 and elapsed < 60.0
@@ -335,18 +334,19 @@ def test_criterion_11_property_suites():
             <= 1e-12
         )
 
-    # distribution unit mass and brute-force pair_minimum equivalence
+    # distribution unit mass and brute-force pairing-minimum equivalence
     for _ in range(50):
         width = int(rng.integers(1, 10))
         raw = rng.random(width) + 1e-9
-        dist = PairCountDistribution(raw / raw.sum())
-        out = pair_minimum(dist)
-        checks.append(abs(out.probs.sum() - 1.0) <= 1e-10)
+        probs = raw / raw.sum()
+        paired, _ = _paired_rows(probs[None, :])
+        out = paired[0] / paired[0].sum()
+        checks.append(abs(out.sum() - 1.0) <= 1e-10)
         brute = np.zeros(width)
         for j1 in range(width):
             for j2 in range(width):
-                brute[min(j1, j2)] += dist.probs[j1] * dist.probs[j2]
-        checks.append(float(np.abs(out.probs - brute).max()) <= 1e-12)
+                brute[min(j1, j2)] += probs[j1] * probs[j2]
+        checks.append(float(np.abs(out - brute).max()) <= 1e-12)
 
     # CSV determinism
     spec = figure_preset("fig3")

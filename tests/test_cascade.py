@@ -10,18 +10,15 @@ from scipy.stats import binom
 from repeaterscope import cascade
 from repeaterscope.cascade import (
     CascadeConfig,
-    CertainResetError,
     InvariantError,
-    PairCountDistribution,
-    conditional_init,
-    conditional_level_update,
-    delta_distribution,
-    distillation_thinning,
+    _binomial_rows,
+    _check_rows,
+    _init_rows,
+    _level_rows,
+    _paired_rows,
+    _reset_rows,
+    _thin_rows,
     end_pairs_bound,
-    generation_distribution,
-    pair_minimum,
-    reset_probability_f,
-    run_cascade,
     run_cascade_batch,
 )
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
@@ -38,87 +35,126 @@ def aligned_tv(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-class TestPairCountDistribution:
+def mean(probs: np.ndarray) -> float:
+    return float(np.arange(len(probs)) @ probs)
+
+
+def delta(k: int) -> np.ndarray:
+    """A (1, k + 1) row holding all its mass at count k."""
+    row = np.zeros((1, k + 1))
+    row[0, k] = 1.0
+    return row
+
+
+def min_of_pair(probs: np.ndarray) -> np.ndarray:
+    """min(K1, K2) of two i.i.d. counts drawn from ``probs``, normalized."""
+    paired, _ = _paired_rows(np.asarray(probs)[None, :])
+    return paired[0] / paired[0].sum()
+
+
+def level_update(probs, distill_next: bool):
+    """``(r, next row, defect, failure code)`` of one pairing level."""
+    r, nxt, defect, _, failure = _level_rows(np.asarray(probs)[None, :], distill_next)
+    return r[0], nxt[0], defect[0], failure[0]
+
+
+def resets_and_completion(r, n_links: int):
+    f, completion = _reset_rows(1.0 - np.asarray(r, dtype=np.float64)[None, :], n_links)
+    return f[0], completion[0]
+
+
+def run_one(config: CascadeConfig):
+    """The batch of one configuration, which must not reset with certainty."""
+    batch = run_cascade_batch([config])
+    assert batch.certain_reset[0] is None
+    return batch
+
+
+LIVE = np.zeros(1, dtype=bool)
+
+
+class TestCheckRows:
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            PairCountDistribution(np.array([0.5, -0.1, 0.6]))
+        with pytest.raises(InvariantError):
+            _check_rows(np.array([[0.5, -0.1, 0.6]]), LIVE, "level")
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            PairCountDistribution(np.array([0.5, 0.4]))
+        with pytest.raises(InvariantError):
+            _check_rows(np.array([[0.5, 0.4]]), LIVE, "level")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
-        with pytest.raises(ValueError):
-            PairCountDistribution(np.array([bad, 1.0]))
-        with pytest.raises(ValueError):
-            PairCountDistribution(np.full(3, bad))
+        with pytest.raises(InvariantError):
+            _check_rows(np.array([[bad, 1.0]]), LIVE, "level")
+        with pytest.raises(InvariantError):
+            _check_rows(np.full((1, 3), bad), LIVE, "level")
 
-    def test_mean_helpers(self):
-        dist = PairCountDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
-        assert dist.mean() == pytest.approx(1.5)
+    def test_skips_rows_that_reset_with_certainty(self):
+        rows = np.array([[0.25, 0.75], [np.nan, np.nan]])
+        _check_rows(rows, np.array([False, True]), "level")
+        with pytest.raises(InvariantError, match="level: row 1"):
+            _check_rows(rows, np.array([False, False]), "level")
 
 
 class TestGeneration:
     def test_certain_success(self):
-        dist = generation_distribution(1, 1.0)
-        assert dist.probs[1] == pytest.approx(1.0)
+        probs = _binomial_rows(1, [1.0])[0]
+        assert probs[1] == pytest.approx(1.0)
 
     def test_binomial_value(self):
-        dist = generation_distribution(4, 0.5)
-        assert dist.probs[2] == pytest.approx(0.375, abs=1e-12)
+        probs = _binomial_rows(4, [0.5])[0]
+        assert probs[2] == pytest.approx(0.375, abs=1e-12)
 
     def test_certain_failure(self):
-        dist = generation_distribution(1024, 0.0)
-        assert dist.probs[0] == pytest.approx(1.0)
+        probs = _binomial_rows(1024, [0.0])[0]
+        assert probs[0] == pytest.approx(1.0)
 
     def test_large_width_stays_normalized(self):
-        dist = generation_distribution(1 << 12, 0.37)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
-        assert dist.mean() == pytest.approx((1 << 12) * 0.37, rel=1e-9)
+        probs = _binomial_rows(1 << 12, [0.37])[0]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+        assert mean(probs) == pytest.approx((1 << 12) * 0.37, rel=1e-9)
 
     def test_widest_supported_multiplexing(self):
-        dist = generation_distribution(1 << 16, 3e-5)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
-        assert dist.mean() == pytest.approx((1 << 16) * 3e-5, rel=1e-9)
-        assert np.isfinite(dist.probs).all()
+        probs = _binomial_rows(1 << 16, [3e-5])[0]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+        assert mean(probs) == pytest.approx((1 << 16) * 3e-5, rel=1e-9)
+        assert np.isfinite(probs).all()
 
     @pytest.mark.parametrize("pi0", [1e-6, 0.013, 0.5, 0.87, 1 - 1e-9])
     def test_matches_exact_combinatorial_pmf(self, pi0):
         m = 30
-        dist = generation_distribution(m, pi0)
+        probs = _binomial_rows(m, [pi0])[0]
         exact = np.array(
             [
                 math.comb(m, k) * pi0**k * (1.0 - pi0) ** (m - k)
                 for k in range(m + 1)
             ]
         )
-        assert np.allclose(dist.probs, exact, rtol=1e-11, atol=1e-300)
+        assert np.allclose(probs, exact, rtol=1e-11, atol=1e-300)
 
 
 class TestThinning:
     def test_guaranteed_single_pair(self):
-        out = distillation_thinning(delta_distribution(2), 1.0, cap=1)
-        assert out.probs[1] == pytest.approx(1.0)
+        out = _thin_rows(delta(2), 1.0, cap=1)[0]
+        assert out[1] == pytest.approx(1.0)
 
     def test_binomial_split(self):
-        out = distillation_thinning(delta_distribution(4), 0.5, cap=2)
-        assert np.allclose(out.probs, [0.25, 0.5, 0.25], atol=1e-12)
+        out = _thin_rows(delta(4), 0.5, cap=2)[0]
+        assert np.allclose(out, [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_odd_leftover_consumed(self):
-        out = distillation_thinning(delta_distribution(3), 1.0, cap=1)
-        assert out.probs[1] == pytest.approx(1.0)
+        out = _thin_rows(delta(3), 1.0, cap=1)[0]
+        assert out[1] == pytest.approx(1.0)
 
     def test_single_pair_lost(self):
-        out = distillation_thinning(delta_distribution(1), 0.9, cap=1)
-        assert out.probs[0] == pytest.approx(1.0)
+        out = _thin_rows(delta(1), 0.9, cap=1)[0]
+        assert out[0] == pytest.approx(1.0)
 
     @given(count_distribution(), st.floats(0.0, 1.0))
     @settings(max_examples=50)
     def test_matches_direct_sum(self, probs, d):
-        dist = PairCountDistribution(probs)
         cap = (len(probs) - 1) // 2 + 1
-        out = distillation_thinning(dist, d, cap=cap)
+        out = _thin_rows(probs[None, :], d, cap=cap)[0]
         direct = np.zeros(cap + 1)
         for j, pj in enumerate(probs):
             pairs = j // 2
@@ -126,98 +162,99 @@ class TestThinning:
                 direct[k] += (
                     pj * math.comb(pairs, k) * d**k * (1.0 - d) ** (pairs - k)
                 )
-        assert aligned_tv(out.probs, direct / direct.sum()) < 1e-12
+        assert aligned_tv(out, direct / direct.sum()) < 1e-12
 
 
 class TestPairMinimum:
     def test_deterministic_input(self):
-        out = pair_minimum(delta_distribution(3))
-        assert out.probs[3] == pytest.approx(1.0)
+        out = min_of_pair(delta(3)[0])
+        assert out[3] == pytest.approx(1.0)
 
     def test_two_point_example(self):
-        out = pair_minimum(PairCountDistribution(np.array([0.5, 0.5])))
-        assert np.allclose(out.probs, [0.75, 0.25], atol=1e-12)
+        out = min_of_pair(np.array([0.5, 0.5]))
+        assert np.allclose(out, [0.75, 0.25], atol=1e-12)
 
     @given(count_distribution())
     @settings(max_examples=50)
     def test_matches_quadratic_brute_force(self, probs):
-        dist = PairCountDistribution(probs)
-        out = pair_minimum(dist)
+        out = min_of_pair(probs)
         brute = np.zeros(len(probs))
         for j1, j2 in itertools.product(range(len(probs)), repeat=2):
             brute[min(j1, j2)] += probs[j1] * probs[j2]
-        assert aligned_tv(out.probs, brute) < 1e-12
+        assert aligned_tv(out, brute) < 1e-12
 
 
 class TestConditionalInit:
     def test_certain_generation(self):
-        r0, dist = conditional_init(3, 1.0)
-        assert r0 == 0.0
-        assert dist.probs[3] == pytest.approx(1.0)
+        r0, _, cond, _ = _init_rows(3, [1.0], 1)
+        assert r0[0] == 0.0
+        assert cond[0, 3] == pytest.approx(1.0)
 
     def test_two_channel_example(self):
-        r0, dist = conditional_init(2, 0.5)
-        assert r0 == pytest.approx(0.25, abs=1e-12)
-        assert np.allclose(dist.probs, [0.0, 2 / 3, 1 / 3], atol=1e-12)
+        r0, _, cond, _ = _init_rows(2, [0.5], 1)
+        assert r0[0] == pytest.approx(0.25, abs=1e-12)
+        assert np.allclose(cond[0], [0.0, 2 / 3, 1 / 3], atol=1e-12)
 
     def test_zero_success_raises(self):
-        with pytest.raises(CertainResetError):
-            conditional_init(8, 0.0)
+        # the conditioned row has no mass, so it is flagged as a certain
+        # reset, and the level check raises unless the row is skipped
+        _, _, cond, dead = _init_rows(8, [0.0], 1)
+        assert dead[0]
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            _check_rows(cond, LIVE, "generation")
+        batch = run_cascade_batch([CascadeConfig(n=0, m=8, pi0=0.0)])
+        assert batch.certain_reset[0] == "generation cannot reach the threshold 1 (m=8, pi0=0.0)"
 
     def test_higher_threshold(self):
-        r0, dist = conditional_init(4, 0.5, reset_threshold=2)
-        assert r0 == pytest.approx(binom.cdf(1, 4, 0.5), abs=1e-12)
-        assert dist.probs[0] == 0.0
-        assert dist.probs[1] == 0.0
+        r0, _, cond, _ = _init_rows(4, [0.5], 2)
+        assert r0[0] == pytest.approx(binom.cdf(1, 4, 0.5), abs=1e-12)
+        assert cond[0, 0] == 0.0
+        assert cond[0, 1] == 0.0
 
 
 class TestConditionalLevelUpdate:
     def test_no_zero_mass_means_no_reset(self):
-        dist = PairCountDistribution(np.array([0.0, 0.5, 0.5]))
-        r, out, defect = conditional_level_update(dist, distill_scheduled=True)
+        r, out, defect, _ = level_update([0.0, 0.5, 0.5], distill_next=True)
         assert r == 0.0
         assert defect == pytest.approx(0.0, abs=1e-12)
 
     def test_reset_probability_example(self):
-        dist = PairCountDistribution(np.array([0.2, 0.0, 0.8]))
-        r, out, defect = conditional_level_update(dist, distill_scheduled=True)
+        r, out, defect, _ = level_update([0.2, 0.0, 0.8], distill_next=True)
         assert r == pytest.approx(0.36, abs=1e-12)
         assert defect == pytest.approx(0.0, abs=1e-12)
-        assert out.probs[0] == 0.0
+        assert out[0] == 0.0
 
     def test_no_distillation_forces_zero_reset(self):
-        dist = PairCountDistribution(np.array([0.2, 0.3, 0.5]))
-        r, out, defect = conditional_level_update(dist, distill_scheduled=False)
+        r, out, defect, _ = level_update([0.2, 0.3, 0.5], distill_next=False)
         assert r == 0.0
         # all zero-pairing mass is dropped instead
         assert defect == pytest.approx(0.2**2 + 2 * 0.2 * 0.8, abs=1e-12)
 
     def test_pairing_exclusion_recorded_as_defect(self):
-        dist = PairCountDistribution(np.array([0.2, 0.5, 0.3]))
-        r, out, defect = conditional_level_update(dist, distill_scheduled=True)
+        r, out, defect, _ = level_update([0.2, 0.5, 0.3], distill_next=True)
         expected_r = 0.2**2 + 2 * 0.2 * 0.3
         assert r == pytest.approx(expected_r, abs=1e-12)
         assert defect == pytest.approx(2 * 0.2 * 0.5 / (1 - expected_r), abs=1e-12)
 
     def test_certain_reset(self):
-        dist = PairCountDistribution(np.array([1.0, 0.0]))
-        with pytest.raises(CertainResetError):
-            conditional_level_update(dist, distill_scheduled=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, _, _, failure = level_update([1.0, 0.0], distill_next=True)
+        assert cascade._LEVEL_FAILURES[failure] == "reset occurs with probability one"
 
 
 class TestResetProbabilityF:
     def test_no_resets(self):
-        f, completion = reset_probability_f(np.zeros(3), 4)
+        f, completion = resets_and_completion(np.zeros(3), 4)
         assert np.allclose(f, 0.0)
         assert completion == 1.0
 
     def test_generation_only(self):
-        f, completion = reset_probability_f(np.array([0.25, 0.0, 0.0]), 4)
+        f, completion = resets_and_completion(np.array([0.25, 0.0, 0.0]), 4)
         assert f[0] == pytest.approx(1 - 0.75**4, abs=1e-12)
         assert completion == pytest.approx(0.75**4, abs=1e-12)
 
     def test_certain_reset_at_level(self):
-        f, completion = reset_probability_f(np.array([0.1, 1.0]), 2)
+        f, completion = resets_and_completion(np.array([0.1, 1.0]), 2)
         assert completion == 0.0
         assert f.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -227,19 +264,19 @@ class TestResetProbabilityF:
     )
     def test_total_mass_conserved(self, r, n):
         r = np.asarray(r[: n + 1] if len(r) > n else r)
-        f, completion = reset_probability_f(r, 1 << n)
+        f, completion = resets_and_completion(r, 1 << n)
         assert f.sum() + completion == pytest.approx(1.0, abs=1e-10)
 
 
 class TestRunCascade:
-    def test_single_link_reduces_to_conditional_init(self):
+    def test_single_link_reduces_to_init_rows(self):
         config = CascadeConfig(n=0, m=8, pi0=0.4)
-        report = run_cascade(config)
-        r0, cond = conditional_init(8, 0.4)
-        assert report.r[0] == pytest.approx(r0)
-        assert np.allclose(report.end_distribution.probs, cond.probs, atol=1e-12)
-        assert report.completion_prob == pytest.approx(1 - r0)
-        assert report.expected_end_pairs == pytest.approx((1 - r0) * cond.mean())
+        batch = run_one(config)
+        r0, _, cond, _ = _init_rows(8, [0.4], 1)
+        assert batch.r[0, 0] == pytest.approx(r0[0])
+        assert np.allclose(batch.p_cond[-1][0], cond[0], atol=1e-12)
+        assert batch.completion_prob[0] == pytest.approx(1 - r0[0])
+        assert batch.expected_end_pairs[0] == pytest.approx((1 - r0[0]) * mean(cond[0]))
 
     def test_distill_flag_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -257,12 +294,12 @@ class TestRunCascade:
             distill_flags=(True, False, True, False),
             distill_success=(0.9, 1.0, 0.85, 1.0),
         )
-        report = run_cascade(config)
-        for track in (report.p_cond, report.q_cond):
-            for dist in track:
-                assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
-                assert dist.probs.min() >= 0.0
-        assert report.f.sum() + report.completion_prob == pytest.approx(
+        batch = run_one(config)
+        for track in (batch.p_cond, batch.q_cond):
+            for rows in track:
+                assert rows[0].sum() == pytest.approx(1.0, abs=1e-10)
+                assert rows[0].min() >= 0.0
+        assert batch.f[0].sum() + batch.completion_prob[0] == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -270,16 +307,16 @@ class TestRunCascade:
         base = CascadeConfig(n=2, m=16, pi0=0.3)
         richer = CascadeConfig(n=2, m=16, pi0=0.5)
         wider = CascadeConfig(n=2, m=32, pi0=0.3)
-        e_base = run_cascade(base).expected_end_pairs
-        assert run_cascade(richer).expected_end_pairs > e_base
-        assert run_cascade(wider).expected_end_pairs > e_base
+        e_base = run_one(base).expected_end_pairs[0]
+        assert run_one(richer).expected_end_pairs[0] > e_base
+        assert run_one(wider).expected_end_pairs[0] > e_base
 
     def test_min_of_binomials_upper_bound(self, rng):
-        # без distillation the end count is the min over all links
+        # without distillation the end count is the min over all links
         config = CascadeConfig(n=2, m=16, pi0=0.3)
-        report = run_cascade(config)
+        batch = run_one(config)
         samples = rng.binomial(16, 0.3, size=(200_000, 4)).min(axis=1)
-        assert report.expected_end_pairs <= samples.mean() + 0.01
+        assert batch.expected_end_pairs[0] <= samples.mean() + 0.01
 
     @pytest.mark.parametrize("pi0", [0.1, 0.3, 0.7])
     @pytest.mark.parametrize(
@@ -293,12 +330,12 @@ class TestRunCascade:
         config = CascadeConfig(
             n=2, m=16, pi0=pi0, distill_flags=flags, distill_success=succ
         )
-        report = run_cascade(config)
+        batch = run_one(config)
         mc = mc_cascade(config, MonteCarloConfig(trials=200_000, seed=11))
-        tv = aligned_tv(report.end_distribution.probs, mc.end_distribution)
+        tv = aligned_tv(batch.p_cond[-1][0], mc.end_distribution)
         assert tv < 0.01
         comp, comp_se = mc.completion_estimate()
-        assert abs(report.completion_prob - comp) <= max(3 * comp_se, 1e-9)
+        assert abs(batch.completion_prob[0] - comp) <= max(3 * comp_se, 1e-9)
 
     def test_double_distillation_against_monte_carlo(self):
         # distillation at both lower levels; pi0 large enough that the
@@ -310,12 +347,48 @@ class TestRunCascade:
             distill_flags=(True, True, False),
             distill_success=(0.9, 0.85, 1.0),
         )
-        report = run_cascade(config)
+        batch = run_one(config)
         mc = mc_cascade(config, MonteCarloConfig(trials=400_000, seed=17))
-        tv = aligned_tv(report.end_distribution.probs, mc.end_distribution)
+        tv = aligned_tv(batch.p_cond[-1][0], mc.end_distribution)
         assert tv < 0.01
         comp, comp_se = mc.completion_estimate()
-        assert abs(report.completion_prob - comp) <= 3 * comp_se
+        assert abs(batch.completion_prob[0] - comp) <= 3 * comp_se
+
+
+def distilling(n: int, pi0: float, levels: dict[int, float]) -> CascadeConfig:
+    """A width-1024 configuration distilling at ``levels`` (level: success)."""
+    flags = tuple(i in levels for i in range(n + 1))
+    success = tuple(levels.get(i, 1.0) for i in range(n + 1))
+    return CascadeConfig(n=n, m=1024, pi0=pi0, distill_flags=flags, distill_success=success)
+
+
+class TestProductionScaleMonteCarlo:
+    """The recursion against the sampler at the production width m = 1024,
+    deeper chains and distillation below the top."""
+
+    @pytest.mark.parametrize(
+        "config,trials",
+        [
+            (distilling(4, 0.01, {}), 50_000),
+            (distilling(4, 0.01, {0: 0.9}), 50_000),
+            # completion about 0.77: generation resets are common
+            (distilling(4, 0.004, {0: 0.9}), 50_000),
+            (distilling(6, 0.02, {0: 0.9, 2: 0.8}), 20_000),
+        ],
+    )
+    def test_against_monte_carlo(self, config, trials):
+        batch = run_one(config)
+        mc = mc_cascade(config, MonteCarloConfig(trials=trials, seed=20260809))
+        analytic = batch.p_cond[-1][0]
+        empirical = mc.end_distribution
+        assert aligned_tv(analytic, empirical) < 0.01
+        comp, comp_se = mc.completion_estimate()
+        assert abs(batch.completion_prob[0] - comp) <= 3 * comp_se
+        # mean end count per completed burst, against the recursion's spread
+        counts = np.arange(len(analytic))
+        spread = math.sqrt(analytic @ counts**2 - mean(analytic) ** 2)
+        assert abs(mean(empirical) - mean(analytic)) <= 5 * spread / math.sqrt(mc.clean_trials)
+        assert comp * mean(empirical) <= end_pairs_bound(config.m, config.pi0)
 
 
 class TestRunCascadeBatch:
@@ -333,17 +406,18 @@ class TestRunCascadeBatch:
         batch = run_cascade_batch(configs)
         assert batch.certain_reset[2] is not None
         for b, config in enumerate(configs):
+            single = run_cascade_batch([config])
+            assert single.certain_reset[0] == batch.certain_reset[b]
             if b == 2:
-                with pytest.raises(CertainResetError):
-                    run_cascade(config)
                 continue
             assert batch.certain_reset[b] is None
-            report = run_cascade(config)
             for name in ("r", "f", "mass_defect", "swaps", "distill_attempts"):
-                assert np.array_equal(getattr(batch, name)[b], getattr(report, name)), name
-            assert batch.completion_prob[b] == report.completion_prob
-            assert batch.expected_end_pairs[b] == report.expected_end_pairs
-            assert np.array_equal(batch.p_cond[-1][b], report.end_distribution.probs)
+                assert np.array_equal(getattr(batch, name)[b], getattr(single, name)[0]), name
+            assert batch.completion_prob[b] == single.completion_prob[0]
+            assert batch.expected_end_pairs[b] == single.expected_end_pairs[0]
+            for level in range(config.n + 1):
+                assert np.array_equal(batch.p_cond[level][b], single.p_cond[level][0])
+                assert np.array_equal(batch.q_cond[level][b], single.q_cond[level][0])
 
     def test_rows_must_share_the_schedule(self):
         mixed = self.configs([0.3]) + [CascadeConfig(n=3, m=32, pi0=0.3)]
@@ -368,10 +442,10 @@ class TestRunCascadeBatch:
     def test_completion_matches_closed_form_at_tiny_success(self, n, pi0):
         # no distillation: the burst completes when every link clears the
         # threshold, (1 - (1 - pi0)**m)**N
-        report = run_cascade(CascadeConfig(n=n, m=16, pi0=pi0))
+        batch = run_one(CascadeConfig(n=n, m=16, pi0=pi0))
         expected = binom.sf(0, 16, pi0) ** (1 << n)
-        assert report.completion_prob == pytest.approx(expected, rel=1e-9, abs=0.0)
-        assert report.f.sum() + report.completion_prob == pytest.approx(1.0, abs=1e-12)
+        assert batch.completion_prob[0] == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert batch.f[0].sum() + batch.completion_prob[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # the smallest normal double, a subnormal and the smallest subnormal
@@ -431,5 +505,5 @@ class TestEndPairsBound:
 
     def test_bound_is_reached_by_a_lossless_chain(self):
         # every link fills all m slots and nothing distills: the bound is tight
-        report = run_cascade(CascadeConfig(n=3, m=8, pi0=1.0))
-        assert report.expected_end_pairs == end_pairs_bound(8, 1.0) == 8.0
+        batch = run_one(CascadeConfig(n=3, m=8, pi0=1.0))
+        assert batch.expected_end_pairs[0] == end_pairs_bound(8, 1.0) == 8.0

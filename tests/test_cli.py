@@ -67,5 +67,4 @@ def test_schedule_error_from_the_recursion_exits_2(monkeypatch):
         raise ValueError("cap 1 cannot hold up to 2 distilled pairs")
 
     monkeypatch.setattr(protocol, "run_cascade_batch", bad_batch)
-    monkeypatch.setattr(protocol, "run_cascade", lambda config: bad_batch([config]))
     assert cli.main(["chain", "--n", "1", "--m", "8"]) == 2

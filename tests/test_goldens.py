@@ -14,6 +14,10 @@ rows moved per preset and the largest move.
 ``couple_<wavelength>.csv`` hold the output of ``repeaterscope couple
 --wavelength <wavelength>`` at its default 26 tilt angles; the angle and the
 HCF constant must match exactly, ``eta_smf_1550`` to a relative 1e-12.
+
+``chain_<case>.json`` hold the output of ``repeaterscope chain ... --trace
+--oracle`` for the arguments in ``CHAIN_GOLDENS``, and must match byte for
+byte.
 """
 
 import csv
@@ -25,7 +29,7 @@ import sys
 
 import pytest
 
-from repeaterscope import cli
+from repeaterscope import cli, protocol
 from repeaterscope.sweep import SweepRow, figure_preset, rows_to_csv, run_sweep
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -113,6 +117,43 @@ def test_couple_matches_golden(wavelength, tmp_path):
         assert list(r) == list(g)
         assert (r["theta_rad"], r["eta_constants_hcf"]) == (g["theta_rad"], g["eta_constants_hcf"])
         assert float(r["eta_smf_1550"]) == pytest.approx(float(g["eta_smf_1550"]), rel=REL_TOL, abs=0.0)
+
+
+CHAIN_GOLDENS = {
+    "chain_hcf": ["--medium", "HCF", "--l0", "20", "--n", "2", "--m", "1024", "--eps-g", "1e-3"],
+    # distills at levels 0-2, and every Monte-Carlo trial stays clean
+    "chain_smf_distilling": ["--medium", "SMF", "--l0", "20", "--n", "3", "--m", "1024", "--f-th", "0.999"],
+}
+
+
+def _chain(name: str, out: pathlib.Path) -> str:
+    args = ["chain", *CHAIN_GOLDENS[name], "--trace", "--oracle", "--trials", "20000", "--out", str(out)]
+    assert cli.main(args) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_GOLDENS))
+def test_chain_matches_golden(name, tmp_path):
+    assert _chain(name, tmp_path / "chain.json") == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_chain_plans_its_schedule_once(monkeypatch, tmp_path):
+    # the point, the trace and the oracle all come from one plan; count the
+    # calls wherever the CLI could reach the two functions
+    calls = []
+    for name in ("build_schedule", "select_wavelength"):
+        real = getattr(protocol, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for module in (cli, protocol):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    text = _chain("chain_hcf", tmp_path / "chain.json")
+    assert calls == ["select_wavelength", "build_schedule"]
+    assert text == (GOLDEN_DIR / "chain_hcf.json").read_text()
 
 
 def write_goldens(names) -> None:

@@ -1,18 +1,10 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repeaterscope.cascade import CascadeConfig, run_cascade
+from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.channel import LinkBudget, hcf_profile, smf_profile
-from repeaterscope.metrics import (
-    CostModel,
-    ops_per_burst,
-    ops_per_secret_bit,
-    ratio_grid,
-)
+from repeaterscope.metrics import CostModel, ops_per_burst, ops_per_secret_bit
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 from repeaterscope.protocol import ProtocolConfig, evaluate_chain
 from repeaterscope.states import NoiseParams
@@ -21,15 +13,15 @@ from repeaterscope.states import NoiseParams
 class TestOpsPerBurst:
     def test_single_link_has_no_ops(self):
         config = CascadeConfig(n=0, m=4, pi0=0.6)
-        report = run_cascade(config)
-        ops = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
+        batch = run_cascade_batch([config])
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
         assert ops.swaps == 0.0
         assert ops.distill_attempts == 0.0
 
     def test_deterministic_single_swap(self):
         config = CascadeConfig(n=1, m=1, pi0=1.0)
-        report = run_cascade(config)
-        ops = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
+        batch = run_cascade_batch([config])
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
         assert ops.swaps == pytest.approx(1.0, abs=1e-12)
         assert ops.two_qubit_gates == pytest.approx(1.0, abs=1e-12)
         assert ops.measurements == pytest.approx(2.0, abs=1e-12)
@@ -40,11 +32,11 @@ class TestOpsPerBurst:
             distill_flags=(True, False, False),
             distill_success=(0.9, 1.0, 1.0),
         )
-        report = run_cascade(config)
-        single = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
+        batch = run_cascade_batch([config])
+        single = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
         double = ops_per_burst(
-            report.swaps,
-            report.distill_attempts,
+            batch.swaps[0],
+            batch.distill_attempts[0],
             CostModel(swap_gates=2, swap_measurements=4,
                       distill_gates=4, distill_measurements=4),
         )
@@ -58,8 +50,8 @@ class TestOpsPerBurst:
             distill_flags=(True, False, False),
             distill_success=(0.9, 1.0, 1.0),
         )
-        report = run_cascade(config)
-        ops = ops_per_burst(report.swaps, report.distill_attempts, CostModel())
+        batch = run_cascade_batch([config])
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
         mc = mc_cascade(config, MonteCarloConfig(trials=400_000, seed=99))
         sw_mean, sw_se, di_mean, di_se = mc.ops_estimate()
         assert abs(ops.swaps - sw_mean) <= 2 * sw_se
@@ -129,29 +121,3 @@ class TestOpsPerSecretBit:
             ratios.append(ops_per_secret_bit(best[1]))
         assert ratios[0] / ratios[1] > 1.0
 
-
-class TestRatioGrid:
-    def test_identity(self):
-        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(ratio_grid(grid, grid), 1.0)
-
-    def test_zero_denominator_sentinels(self):
-        out = ratio_grid(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        assert math.isinf(out[0])
-        assert math.isnan(out[1])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ratio_grid(np.ones(3), np.ones(4))
-
-    @given(
-        st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=20),
-        st.floats(1e-3, 1e3),
-    )
-    def test_matches_elementwise_division_and_scaling(self, values, scale):
-        a = np.asarray(values)
-        b = a[::-1].copy()
-        out = ratio_grid(a, b)
-        assert np.allclose(out, a / b, rtol=1e-12)
-        scaled = ratio_grid(scale * a, scale * b)
-        assert np.allclose(scaled, out, rtol=1e-9)

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -78,3 +81,14 @@ class TestMonteCarloSampler:
         assert mc.end_histogram[2] == 10_000  # 4 pairs -> 2 distilled -> min 2
         comp, _ = mc.completion_estimate()
         assert comp == 1.0
+
+
+def test_oracle_check_script_runs(capsys):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "oracle_check.py"
+    spec = importlib.util.spec_from_file_location("oracle_check", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--trials", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert all("TV=" in line and "completion" in line for line in lines)

@@ -24,7 +24,6 @@ from repeaterscope.sweep import (
     figure_preset,
     load_config,
     optimize_depth,
-    resolve_threads,
     rows_to_csv,
     run_sweep,
     spec_from_dict,
@@ -259,17 +258,6 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             spec_from_dict({"media": ["HCF"], "bogus": 1})
-
-    def test_threads_resolution(self, monkeypatch):
-        monkeypatch.delenv("THREADS", raising=False)
-        assert resolve_threads(None) == 1
-        assert resolve_threads(7) == 7
-        monkeypatch.setenv("THREADS", "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(2) == 2
-        monkeypatch.setenv("THREADS", "zebra")
-        with pytest.raises(ConfigurationError):
-            resolve_threads(None)
 
 
 class TestFigurePresets:
