@@ -2,12 +2,12 @@
 
 Submodules
 ----------
-states    Bell-diagonal state algebra and local noise channels.
+states    Bell-diagonal state algebra, local noise channels, key fraction.
 channel   Fiber media, link budgets, elementary-link success probability.
 coupling  Scalar step-index mode solver and Gaussian facet coupling.
 cascade   Recursive pair-count distributions across nesting levels.
 protocol  Static distillation schedule and end-to-end chain evaluation.
-metrics   Key-fraction helpers and operational cost accounting.
+metrics   Operation counts at fixed prices, gates per secret bit.
 sweep     Parameter sweeps, depth optimization, figure presets, CSV output.
 oracle    Slow reference implementations used by the test suite.
 """

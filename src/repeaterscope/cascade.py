@@ -123,28 +123,22 @@ def _paired_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * q + 2.0 * q * tail, tail
 
 
-def _init_rows(m: int, pi0, reset_threshold: int):
+def _init_rows(m: int, pi0):
     """Generation: ``(r0, survival, conditioned rows, certain-reset mask)``.
 
-    ``r0`` is the probability that a single link produces fewer than
-    ``reset_threshold`` pairs; the rows are the Binomial(m, pi0) count
-    conditioned on clearing the threshold.  The survival ``1 - r0`` of a
-    single link cancels when ``m * pi0`` is small; at threshold 1 it is
-    taken from ``1 - (1 - pi0)**m`` directly.
+    ``r0 = (1 - pi0)**m`` is the probability that a single link produces no
+    pair, and the rows are the Binomial(m, pi0) count conditioned on at least
+    one pair.  ``r0`` and the survival ``1 - r0`` both come from one
+    ``m * log1p(-pi0)``, so that the survival does not cancel when
+    ``m * pi0`` is small.
     """
-    if reset_threshold < 1:
-        raise ValueError("reset threshold must be at least 1")
     pi0 = np.asarray(pi0, dtype=np.float64)
     kept = _binomial_rows(m, pi0)
-    r0 = kept[:, :reset_threshold].sum(axis=1)
-    kept[:, :reset_threshold] = 0.0
+    kept[:, 0] = 0.0
     total = kept.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # pi0 = 1; no mass left
-        if reset_threshold == 1:
-            survive = -np.expm1(m * np.log1p(-pi0))
-        else:
-            survive = 1.0 - r0
-        return r0, survive, kept / total[:, None], total <= 0.0
+        log_none = m * np.log1p(-pi0)
+        return np.exp(log_none), -np.expm1(log_none), kept / total[:, None], total <= 0.0
 
 
 def _level_rows(q: np.ndarray, distill_next: bool):
@@ -212,7 +206,6 @@ class CascadeConfig:
     pi0: float
     distill_flags: tuple[bool, ...] = ()
     distill_success: tuple[float, ...] = ()
-    reset_threshold: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -221,8 +214,6 @@ class CascadeConfig:
             raise ValueError("multiplexing width must be at least 1")
         if not 0.0 <= self.pi0 <= 1.0:
             raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
-        if self.reset_threshold < 1:
-            raise ValueError("reset threshold must be at least 1")
         flags = tuple(bool(f) for f in self.distill_flags)
         if not flags:
             flags = (False,) * (self.n + 1)
@@ -233,8 +224,6 @@ class CascadeConfig:
         succ = tuple(float(d) for d in self.distill_success)
         if not succ:
             succ = (1.0,) * (self.n + 1)
-        if len(succ) == self.n:  # tolerate omitting the unused top entry
-            succ = succ + (1.0,)
         if len(succ) != self.n + 1:
             raise ValueError("distill_success must have one entry per level 0..n")
         if any(not 0.0 <= d <= 1.0 for d in succ):
@@ -263,7 +252,7 @@ class CascadeConfig:
     @property
     def schedule(self) -> tuple:
         """Everything but ``pi0``: the inputs a batch of rows must share."""
-        return (self.n, self.m, self.distill_flags, self.distill_success, self.reset_threshold)
+        return (self.n, self.m, self.distill_flags, self.distill_success)
 
 
 @dataclass(frozen=True)
@@ -281,9 +270,15 @@ class CascadeBatch:
 
     ``completion_prob`` is the product of per-level no-reset factors
     ``(1 - r_i) ** (N / 2**i)``; together with the reset probabilities ``f``
-    it sums to one.  ``mass_defect[:, i]`` is the pairing mass at level i
-    that the termination bookkeeping neither kept nor counted as reset,
-    removed by renormalization (zero whenever no distillation ran below).
+    it sums to one.  Level 0 takes its factor from the survival
+    ``-expm1(m log1p(-pi0))``, which ``r[:, 0] = exp(m log1p(-pi0))``
+    complements to the ulp, and not from ``1 - r[:, 0]``: when ``r[:, 0]``
+    lies within ``m pi0`` of 1, forming ``1 - r[:, 0]`` keeps only the float
+    spacing near 1 (8e-4 relative at m=16, pi0=1e-15).
+
+    ``mass_defect[:, i]`` is the pairing mass at level i that the
+    termination bookkeeping neither kept nor counted as reset, removed by
+    renormalization (zero whenever no distillation ran below).
     """
 
     p_cond: tuple[np.ndarray, ...]
@@ -308,12 +303,11 @@ def end_pairs_bound(m: int, pi0: float) -> float:
     p1 = p_i(1), and d for level i's success probability.  Let
     s_0 = 1 - r_0 and s_{i+1} = s_i**2 (1 - r_{i+1}); then s_n is
     ``completion_prob``, and mu_i = s_i E[K] runs from mu_0 = E[K0; K0 >= 1]
-    = m pi0 (K0 the binomial count; at a higher reset threshold mu_0 is
-    smaller) to mu_n = ``expected_end_pairs``.  It suffices that
-    mu_{i+1} <= s_i mu_i.  Pairing keeps min(Q, Q') of two independent
-    draws, with E[min] = sum_{k>=1} P(Q >= k)**2 <= (1 - q0) E[Q], and level
-    i + 1 conditions it on at least one pair: its mean is
-    E[min] / (1 - q0)**2.
+    = m pi0 (K0 the binomial count) to mu_n = ``expected_end_pairs``.  It
+    suffices that mu_{i+1} <= s_i mu_i.  Pairing keeps min(Q, Q') of two
+    independent draws, with E[min] = sum_{k>=1} P(Q >= k)**2
+    <= (1 - q0) E[Q], and level i + 1 conditions it on at least one pair:
+    its mean is E[min] / (1 - q0)**2.
 
     - Level i does not thin.  Then q0 = 0 and r_{i+1} = 0, so
       mu_{i+1} = s_i**2 E[min] <= s_i**2 E[K] = s_i mu_i.
@@ -367,7 +361,7 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
     """
     head = configs[0]
     if any(c.schedule != head.schedule for c in configs[1:]):
-        raise ValueError("a batch must share n, m, the distillation schedule and threshold")
+        raise ValueError("a batch must share n, m and the distillation schedule")
     n, flags, n_links = head.n, head.distill_flags, head.n_links
     zeros = np.zeros(len(configs))
     dead = zeros.astype(bool)  # rows that reset with certainty: NaN, unchecked
@@ -379,12 +373,8 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
         np.logical_or(dead, newly, out=dead)
 
     pi0 = [c.pi0 for c in configs]
-    r0, survive0, p, no_mass = _init_rows(head.m, pi0, head.reset_threshold)
-    fail(
-        no_mass,
-        lambda b: f"generation cannot reach the threshold {head.reset_threshold} "
-        f"(m={head.m}, pi0={pi0[b]})",
-    )
+    r0, survive0, p, no_mass = _init_rows(head.m, pi0)
+    fail(no_mass, lambda b: f"generation cannot reach the threshold 1 (m={head.m}, pi0={pi0[b]})")
     _check_rows(p, dead, "generation")
     p_cond, q_cond, r, survive, defects = [p], [], [r0], [survive0], [zeros]
     swaps, attempts = [], []

@@ -79,23 +79,21 @@ class LinkBudget:
             raise ConfigurationError("inter-repeater spacing must be positive")
 
 
-def smf_profile(velocity_kms: float = DEFAULT_SIGNAL_VELOCITY) -> MediumProfile:
+def smf_profile() -> MediumProfile:
     """Conventional silica single-mode fiber, telecom band only."""
     return MediumProfile(
         name="SMF",
         att_length_km={TELECOM_NM: 28.95},
         coupling_mem_fiber=SMF_COUPLING_AT_TOL,
-        signal_velocity_kms=velocity_kms,
     )
 
 
-def hcf_profile(velocity_kms: float = DEFAULT_SIGNAL_VELOCITY) -> MediumProfile:
+def hcf_profile() -> MediumProfile:
     """Nested anti-resonant hollow-core fiber, memory-native and telecom."""
     return MediumProfile(
         name="HCF",
         att_length_km={MEMORY_NM: 24.127, TELECOM_NM: 78.96},
         coupling_mem_fiber=HCF_COUPLING_AT_TOL,
-        signal_velocity_kms=velocity_kms,
     )
 
 

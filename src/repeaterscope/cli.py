@@ -50,14 +50,8 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         # nested structures (trace, oracle) only fit the json format
         keys = [k for k, v in payload.items() if not isinstance(v, (dict, list))]
         text = ",".join(keys) + "\n"
-        text += ",".join(_cell(payload[k]) for k in keys) + "\n"
+        text += ",".join(sweep.format_cell(payload[k]) for k in keys) + "\n"
     _write(text, out)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -102,10 +96,7 @@ def _cmd_couple(args: argparse.Namespace) -> None:
     for theta in thetas:
         eta_smf = coupling.tilted_eta(beam, fiber, mode, float(theta)) * facet
         eta_hcf = coupling.effective_coupling("HCF", float(theta))
-        lines.append(
-            f"{format(float(theta), '.17g')},{format(eta_smf, '.17g')},"
-            f"{format(eta_hcf, '.17g')}"
-        )
+        lines.append(",".join(sweep.format_cell(x) for x in (float(theta), eta_smf, eta_hcf)))
     _write("\n".join(lines) + "\n", args.out)
 
 
@@ -185,7 +176,7 @@ def _rows_out(rows, fmt: str, out: str | None) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     spec, profiles = sweep.load_config(args.config)
-    rows = sweep.run_sweep(dataclasses.replace(spec, output_path=None), profiles)
+    rows = sweep.run_sweep(spec, profiles)
     _rows_out(rows, args.format, args.out or spec.output_path)
 
 

@@ -72,7 +72,6 @@ class ModeSolution:
     v: float
     u: float
     w: float
-    beta_per_um: float | None = None
 
     def __post_init__(self) -> None:
         if abs(self.u**2 + self.w**2 - self.v**2) > 1e-9:
@@ -155,14 +154,8 @@ def solve_characteristic(v: float) -> ModeSolution:
 
 
 def fiber_mode(fiber: StepIndexFiber, wavelength_nm: float) -> ModeSolution:
-    """Solve the fundamental mode and attach the propagation constant."""
-    v = normalized_frequency(fiber, wavelength_nm)
-    root = solve_characteristic(v)
-    k_free = 2.0 * math.pi / (wavelength_nm * 1e-3)
-    beta = math.sqrt(
-        (fiber.n1 * k_free) ** 2 - (root.u / fiber.core_radius_um) ** 2
-    )
-    return ModeSolution(v=root.v, u=root.u, w=root.w, beta_per_um=beta)
+    """Solve the fundamental mode of a fiber at a wavelength."""
+    return solve_characteristic(normalized_frequency(fiber, wavelength_nm))
 
 
 def mode_field(
@@ -346,14 +339,11 @@ def facet_transmission(fiber: StepIndexFiber) -> float:
 NEAR_CUTOFF_NA = 0.08
 
 
-def near_cutoff_smf(
-    wavelength_nm: float,
-    na: float = NEAR_CUTOFF_NA,
-    ar_coated: bool = True,
-) -> StepIndexFiber:
-    """Silica fiber sized to sit at the single-mode cutoff for the wavelength."""
-    a = SINGLE_MODE_CUTOFF_V * (wavelength_nm * 1e-3) / (2.0 * math.pi * na)
-    n2 = math.sqrt(SILICA_INDEX**2 - na**2)
+def near_cutoff_smf(wavelength_nm: float, ar_coated: bool = True) -> StepIndexFiber:
+    """Silica fiber of numerical aperture ``NEAR_CUTOFF_NA`` sized to sit at
+    the single-mode cutoff for the wavelength."""
+    a = SINGLE_MODE_CUTOFF_V * (wavelength_nm * 1e-3) / (2.0 * math.pi * NEAR_CUTOFF_NA)
+    n2 = math.sqrt(SILICA_INDEX**2 - NEAR_CUTOFF_NA**2)
     return StepIndexFiber(core_radius_um=a, n1=SILICA_INDEX, n2=n2, ar_coated=ar_coated)
 
 
@@ -366,13 +356,12 @@ def effective_coupling(
 
     For a step-index fiber this is the tilted mode overlap at the optimal
     waist times the facet transmission.  For the hollow-core design (pass
-    the string ``"HCF"`` or a medium carrying that name) the tabulated
-    constants apply: peak 0.98 at zero tilt, 0.79 at the design tolerance.
+    the string ``"HCF"``) the tabulated constants apply: peak 0.98 at zero
+    tilt, 0.79 at the design tolerance.
     """
     if theta_tol_rad < 0.0:
         raise ValueError("tilt tolerance must be non-negative")
-    name = target if isinstance(target, str) else getattr(target, "name", None)
-    if isinstance(name, str) and name.upper() in {"HCF", "DNANF"}:
+    if isinstance(target, str) and target == "HCF":
         return HCF_PEAK_COUPLING if theta_tol_rad == 0.0 else HCF_COUPLING_AT_TOL
     if not isinstance(target, StepIndexFiber):
         raise TypeError(f"cannot model coupling for {target!r}")

@@ -17,23 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .protocol import PerformancePoint
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Gate and measurement counts charged per operation type."""
-
-    swap_gates: int = 1
-    swap_measurements: int = 2
-    distill_gates: int = 2
-    distill_measurements: int = 2
-
-    def __post_init__(self) -> None:
-        if min(
-            self.swap_gates,
-            self.swap_measurements,
-            self.distill_gates,
-            self.distill_measurements,
-        ) < 0:
-            raise ValueError("operation costs must be non-negative")
+# gates and measurements charged per swap and per distillation attempt
+SWAP_GATES = 1
+SWAP_MEASUREMENTS = 2
+DISTILL_GATES = 2
+DISTILL_MEASUREMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -46,25 +34,19 @@ class OpCounts:
     measurements: float
 
 
-def ops_per_burst(
-    swaps: Sequence[float],
-    distill_attempts: Sequence[float],
-    cost: CostModel | None = None,
-) -> OpCounts:
+def ops_per_burst(swaps: Sequence[float], distill_attempts: Sequence[float]) -> OpCounts:
     """Expected swap and distillation operations in one burst, and their cost.
 
     ``swaps``/``distill_attempts`` hold the expected operations at each
     level, as the count recursion reports them (``CascadeBatch.swaps``).
     """
-    cost = cost or CostModel()
     swap_total = float(sum(swaps, 0.0))
     distills = float(sum(distill_attempts, 0.0))
     return OpCounts(
         swaps=swap_total,
         distill_attempts=distills,
-        two_qubit_gates=swap_total * cost.swap_gates + distills * cost.distill_gates,
-        measurements=swap_total * cost.swap_measurements
-        + distills * cost.distill_measurements,
+        two_qubit_gates=swap_total * SWAP_GATES + distills * DISTILL_GATES,
+        measurements=swap_total * SWAP_MEASUREMENTS + distills * DISTILL_MEASUREMENTS,
     )
 
 

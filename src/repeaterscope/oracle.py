@@ -244,7 +244,7 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
     """Replay the multiplexed burst process trial by trial.
 
     Per trial: draw Binomial(M, pi0) counts for all elementary links; reset
-    if any falls below the threshold.  Ascending the hierarchy, a scheduled
+    if any link holds no pair.  Ascending the hierarchy, a scheduled
     distillation turns k pairs into Binomial(floor(k/2), d) survivors, and
     pairing adjacent segments keeps min(left, right) pairs.  A zero count
     after pairing is classified as a reset when the destination level has a
@@ -279,7 +279,7 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
         counts = rng.binomial(config.m, config.pi0, size=(size, n_links))
         swap_ops = np.zeros(size)
         distill_ops = np.zeros(size)
-        clean = ~(counts < config.reset_threshold).any(axis=1)
+        clean = (counts > 0).all(axis=1)
         entered[0] += size
         reset_at[0] += int((~clean).sum())
 

@@ -173,7 +173,7 @@ def _certain_reset_point(config, wavelength, end_state, reason) -> PerformancePo
 
 
 def _performance_point(
-    config, wavelength, end_state, key, cost, end_pairs, completion, defects, swaps, attempts
+    config, wavelength, end_state, key, end_pairs, completion, defects, swaps, attempts
 ) -> PerformancePoint:
     """Package one row of the count recursion into a chain outcome."""
     # normalize by all channel uses of the burst: M attempts on each of the
@@ -184,7 +184,7 @@ def _performance_point(
         expected_end_pairs=float(end_pairs),
         completion_prob=float(completion),
         end_state=end_state,
-        ops=metrics.ops_per_burst(swaps, attempts, cost),
+        ops=metrics.ops_per_burst(swaps, attempts),
         wavelength_used_nm=wavelength,
         l0_km=config.budget.l0_km,
         n=config.n,
@@ -204,11 +204,9 @@ def cascade_config(config: ProtocolConfig, trace: LevelTrace, pi0: float) -> Cas
     )
 
 
-def evaluate_chain(
-    config: ProtocolConfig, cost: metrics.CostModel | None = None
-) -> PerformancePoint:
+def evaluate_chain(config: ProtocolConfig) -> PerformancePoint:
     """Full evaluation: wavelength choice, schedule, count recursion, SKR."""
-    return evaluate_chains([config], cost)[0]
+    return plan_chains([config]).evaluate()[0]
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,7 @@ class ChainPlan:
             for c, (_, pi0) in zip(self.configs, self.choices)
         ]
 
-    def evaluate(
-        self, rows: Sequence[int] | None = None, cost: metrics.CostModel | None = None
-    ) -> list[PerformancePoint]:
+    def evaluate(self, rows: Sequence[int] | None = None) -> list[PerformancePoint]:
         """Evaluate the chains at ``rows`` (all by default) in one batched
         count recursion; each point is the same whatever else is evaluated
         with it."""
@@ -258,7 +254,7 @@ class ChainPlan:
                 point = _certain_reset_point(config, wavelength, end_state, batch.certain_reset[b])
             else:
                 point = _performance_point(
-                    config, wavelength, end_state, self.key, cost,
+                    config, wavelength, end_state, self.key,
                     batch.expected_end_pairs[b], batch.completion_prob[b], batch.mass_defect[b],
                     batch.swaps[b], batch.distill_attempts[b],
                 )
@@ -279,12 +275,3 @@ def plan_chains(configs: Sequence[ProtocolConfig]) -> ChainPlan:
     trace = build_schedule(configs[0])
     return ChainPlan(tuple(configs), choices, trace, key_fraction(trace.end_state))
 
-
-def evaluate_chains(
-    configs: Sequence[ProtocolConfig], cost: metrics.CostModel | None = None
-) -> list[PerformancePoint]:
-    """``evaluate_chain`` for chains that share one schedule (see
-    ``plan_chains``): one schedule and one batched count recursion serve
-    them all, and each point equals ``evaluate_chain`` on its config, bit
-    for bit."""
-    return plan_chains(configs).evaluate(cost=cost)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import metrics
 from .channel import (
+    DEFAULT_SIGNAL_VELOCITY,
     ConfigurationError,
     LinkBudget,
     MediumProfile,
@@ -215,7 +216,8 @@ def run_sweep(
     media_profiles: dict[str, MediumProfile] | None = None,
     threads: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate every grid point; writes CSV to ``spec.output_path`` if set.
+    """Evaluate every grid point.  ``spec.output_path`` is not read here:
+    ``repeaterscope sweep`` writes the rows there.
 
     Points that share signal velocity, distance, T2 and gate error share
     their schedule at every depth and are evaluated together.  ``threads``
@@ -243,13 +245,11 @@ def run_sweep(
         points = [(table[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members]
         found = _best_depths(points, dist, t2, eps, spec.f_th, spec.m, spec.n_range)
         best.update(zip(members, found))
-    rows = [_sweep_row(spec, table[key[0]], key, best[key]) for key in keys]
-    if spec.output_path:
-        write_csv(rows, spec.output_path)
-    return rows
+    return [_sweep_row(spec, table[key[0]], key, best[key]) for key in keys]
 
 
-def _format_cell(value) -> str:
+def format_cell(value) -> str:
+    """A CSV cell: floats to 17 significant digits, which round-trip."""
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -259,7 +259,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     header = ",".join(f.name for f in fields(SweepRow))
     lines = [header]
     for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, f.name)) for f in fields(SweepRow)))
+        lines.append(",".join(format_cell(getattr(row, f.name)) for f in fields(SweepRow)))
     return "\n".join(lines) + "\n"
 
 
@@ -296,7 +296,7 @@ def media_from_dict(raw: dict) -> dict[str, MediumProfile]:
             att_length_km=att,
             coupling_mem_fiber=float(entry["coupling_mem_fiber"]),
             signal_velocity_kms=float(
-                entry.get("signal_velocity_kms", 2.0e5)
+                entry.get("signal_velocity_kms", DEFAULT_SIGNAL_VELOCITY)
             ),
         )
     return profiles

@@ -42,7 +42,7 @@ def rng():
 
 def level_means(batch, configs):
     """mu_i = s_i E[p_i] of every row and level (see ``cascade.end_pairs_bound``),
-    with s_0 the single-link survival at reset threshold 1 and
+    with s_0 the single-link survival 1 - (1 - pi0)**m and
     s_{i+1} = s_i**2 (1 - r_{i+1})."""
     m = np.array([c.m for c in configs], dtype=np.float64)
     pi0 = np.array([c.pi0 for c in configs])

@@ -186,30 +186,36 @@ class TestPairMinimum:
 
 class TestConditionalInit:
     def test_certain_generation(self):
-        r0, _, cond, _ = _init_rows(3, [1.0], 1)
+        r0, _, cond, _ = _init_rows(3, [1.0])
         assert r0[0] == 0.0
         assert cond[0, 3] == pytest.approx(1.0)
 
     def test_two_channel_example(self):
-        r0, _, cond, _ = _init_rows(2, [0.5], 1)
+        r0, _, cond, _ = _init_rows(2, [0.5])
         assert r0[0] == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(cond[0], [0.0, 2 / 3, 1 / 3], atol=1e-12)
 
     def test_zero_success_raises(self):
         # the conditioned row has no mass, so it is flagged as a certain
         # reset, and the level check raises unless the row is skipped
-        _, _, cond, dead = _init_rows(8, [0.0], 1)
+        _, _, cond, dead = _init_rows(8, [0.0])
         assert dead[0]
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
             _check_rows(cond, LIVE, "generation")
         batch = run_cascade_batch([CascadeConfig(n=0, m=8, pi0=0.0)])
         assert batch.certain_reset[0] == "generation cannot reach the threshold 1 (m=8, pi0=0.0)"
 
-    def test_higher_threshold(self):
-        r0, _, cond, _ = _init_rows(4, [0.5], 2)
-        assert r0[0] == pytest.approx(binom.cdf(1, 4, 0.5), abs=1e-12)
-        assert cond[0, 0] == 0.0
-        assert cond[0, 1] == 0.0
+    @pytest.mark.parametrize("m,pi0", [(1024, 1e-3), (16, 0.3)])
+    def test_reset_and_survival_share_one_formula(self, m, pi0):
+        # r0 = (1 - pi0)**m from the same log1p as the survival, so the two
+        # complement each other to the ulp (the normalized binomial row's pmf[0]
+        # misses by hundreds of ulps at m=1024)
+        r0, survive, _, _ = _init_rows(m, [pi0])
+        batch = run_cascade_batch([CascadeConfig(n=0, m=m, pi0=pi0)])
+        assert batch.r[0, 0] == math.exp(m * math.log1p(-pi0))
+        assert batch.r[0, 0] == r0[0]
+        assert abs(r0[0] + survive[0] - 1.0) <= math.ulp(1.0)
+        assert batch.completion_prob[0] == survive[0]
 
 
 class TestConditionalLevelUpdate:
@@ -272,7 +278,7 @@ class TestRunCascade:
     def test_single_link_reduces_to_init_rows(self):
         config = CascadeConfig(n=0, m=8, pi0=0.4)
         batch = run_one(config)
-        r0, _, cond, _ = _init_rows(8, [0.4], 1)
+        r0, _, cond, _ = _init_rows(8, [0.4])
         assert batch.r[0, 0] == pytest.approx(r0[0])
         assert np.allclose(batch.p_cond[-1][0], cond[0], atol=1e-12)
         assert batch.completion_prob[0] == pytest.approx(1 - r0[0])

@@ -11,6 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import j0, k0
 
 from repeaterscope import cli, coupling
+from repeaterscope.channel import hcf_profile
 from repeaterscope.coupling import (
     _TAIL_CUT,
     GaussianBeam,
@@ -224,6 +225,12 @@ class TestEffectiveCoupling:
     def test_hcf_constants(self):
         assert effective_coupling("HCF", 0.025) == 0.79
         assert effective_coupling("HCF", 0.0) == 0.98
+
+    def test_rejects_anything_but_hcf_or_a_step_index_fiber(self):
+        with pytest.raises(TypeError):
+            effective_coupling(hcf_profile(), 0.025)
+        with pytest.raises(TypeError):
+            effective_coupling(1550.0, 0.025)
 
     def test_smf_at_design_tolerance(self):
         eta = effective_coupling(FIBER, 0.025, 1550.0)

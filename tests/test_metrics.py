@@ -4,7 +4,7 @@ import pytest
 
 from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.channel import LinkBudget, hcf_profile, smf_profile
-from repeaterscope.metrics import CostModel, ops_per_burst, ops_per_secret_bit
+from repeaterscope.metrics import ops_per_burst, ops_per_secret_bit
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 from repeaterscope.protocol import ProtocolConfig, evaluate_chain
 from repeaterscope.states import NoiseParams
@@ -14,34 +14,34 @@ class TestOpsPerBurst:
     def test_single_link_has_no_ops(self):
         config = CascadeConfig(n=0, m=4, pi0=0.6)
         batch = run_cascade_batch([config])
-        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         assert ops.swaps == 0.0
         assert ops.distill_attempts == 0.0
 
     def test_deterministic_single_swap(self):
         config = CascadeConfig(n=1, m=1, pi0=1.0)
         batch = run_cascade_batch([config])
-        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         assert ops.swaps == pytest.approx(1.0, abs=1e-12)
         assert ops.two_qubit_gates == pytest.approx(1.0, abs=1e-12)
         assert ops.measurements == pytest.approx(2.0, abs=1e-12)
 
-    def test_linear_in_cost_model(self):
+    def test_constant_operation_prices(self):
+        # one gate and two measurements per swap, two gates and two
+        # measurements per distillation attempt
         config = CascadeConfig(
             n=2, m=8, pi0=0.4,
             distill_flags=(True, False, False),
             distill_success=(0.9, 1.0, 1.0),
         )
         batch = run_cascade_batch([config])
-        single = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
-        double = ops_per_burst(
-            batch.swaps[0],
-            batch.distill_attempts[0],
-            CostModel(swap_gates=2, swap_measurements=4,
-                      distill_gates=4, distill_measurements=4),
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
+        assert ops.distill_attempts > 0.0
+        assert ops.two_qubit_gates == pytest.approx(
+            ops.swaps + 2 * ops.distill_attempts, abs=1e-12
         )
-        assert double.two_qubit_gates == pytest.approx(
-            2 * single.swaps + 4 * single.distill_attempts, abs=1e-12
+        assert ops.measurements == pytest.approx(
+            2 * ops.swaps + 2 * ops.distill_attempts, abs=1e-12
         )
 
     def test_matches_monte_carlo_counter(self):
@@ -51,7 +51,7 @@ class TestOpsPerBurst:
             distill_success=(0.9, 1.0, 1.0),
         )
         batch = run_cascade_batch([config])
-        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0], CostModel())
+        ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         mc = mc_cascade(config, MonteCarloConfig(trials=400_000, seed=99))
         sw_mean, sw_se, di_mean, di_se = mc.ops_estimate()
         assert abs(ops.swaps - sw_mean) <= 2 * sw_se

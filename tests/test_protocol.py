@@ -13,7 +13,6 @@ from repeaterscope.protocol import (
     build_schedule,
     cascade_config,
     evaluate_chain,
-    evaluate_chains,
     plan_chains,
     wait_time,
 )
@@ -224,5 +223,5 @@ class TestSkrBound:
         configs = [make_config(conv=c, n=3, m=64, eps=1e-2, f_th=0.99) for c in (0.3, 0.5, 0.7, 1.0)]
         plan = plan_chains(configs)
         assert plan.trace.distill_flags[0]
-        full = evaluate_chains(configs)
+        full = plan.evaluate()
         assert plan.evaluate([3, 1]) == [full[3], full[1]]

@@ -11,13 +11,14 @@ import pytest
 from repeaterscope import protocol, sweep
 from repeaterscope.cascade import InvariantError
 from repeaterscope.channel import (
+    DEFAULT_SIGNAL_VELOCITY,
     ConfigurationError,
     LinkBudget,
     default_media,
     hcf_profile,
     smf_profile,
 )
-from repeaterscope.protocol import ProtocolConfig, evaluate_chain, evaluate_chains
+from repeaterscope.protocol import ProtocolConfig, evaluate_chain, plan_chains
 from repeaterscope.states import NoiseParams
 from repeaterscope.sweep import (
     SweepSpec,
@@ -141,6 +142,12 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(small_spec(media=("XYZ",)))
 
+    def test_output_path_is_left_to_the_cli(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        rows = run_sweep(small_spec(output_path=str(target)))
+        assert len(rows) == 4
+        assert not target.exists()
+
 
 def chain_config(medium, dist, conv, eta_hw, t2, eps, n, m=1024, f_th=0.95):
     return ProtocolConfig(
@@ -216,7 +223,7 @@ class TestBatchedRowsMatchSingleChains:
             for eta_hw in spec.eta_hardware
         ]
         assert any(protocol.build_schedule(configs[0]).distill_flags)
-        batched = evaluate_chains(configs)
+        batched = plan_chains(configs).evaluate()
         assert batched == [evaluate_chain(c) for c in configs]
         assert any(p.diagnostic for p in batched) == diagnostic
         assert not all(p.diagnostic for p in batched)
@@ -252,6 +259,7 @@ class TestConfigParsing:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(payload))
         spec, profiles = load_config(str(path))
+        assert profiles["CUSTOM"].signal_velocity_kms == DEFAULT_SIGNAL_VELOCITY
         rows = run_sweep(spec, profiles)
         assert rows[0].medium == "CUSTOM"
 
@@ -295,7 +303,7 @@ class TestFigurePresets:
 
 def full_scan(spec):
     """The rows of an ascending scan over every depth of ``spec.n_range``,
-    built from ``evaluate_chains`` alone: ties keep the smaller n."""
+    built from ``ChainPlan.evaluate`` alone: ties keep the smaller n."""
     media = default_media()
     keys = [
         (name, dist, conv, eta_hw, t2, eps)
@@ -325,7 +333,7 @@ def full_scan(spec):
                 )
                 for name, _, conv, eta_hw, _, _ in members
             ]
-            for key, point in zip(members, evaluate_chains(configs)):
+            for key, point in zip(members, plan_chains(configs).evaluate()):
                 if key not in best or point.skr_pcu > best[key][2].skr_pcu:
                     best[key] = (n, l0, point)
     return [sweep._sweep_row(spec, media[key[0]], key, best[key]) for key in keys]
@@ -439,6 +447,26 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("medium,")
         assert len(lines) == 2
+
+    def test_sweep_writes_to_the_config_output_path(self, tmp_path):
+        raw = {
+            "media": ["HCF", "SMF"],
+            "total_distance_km": [80.0, 160.0],
+            "conv_eff": [0.5],
+            "eps_g": [0.001],
+            "m": 16,
+            "n_range": [0, 1, 2],
+        }
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(raw))
+        via_out = tmp_path / "out.csv"
+        assert self.run_cli("sweep", "--config", str(config), "--out", str(via_out)).returncode == 0
+        via_config = tmp_path / "config.csv"
+        config.write_text(json.dumps({**raw, "output_path": str(via_config)}))
+        proc = self.run_cli("sweep", "--config", str(config))
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert via_config.read_bytes() == via_out.read_bytes()
 
     def test_couple_csv(self):
         proc = self.run_cli("couple", "--points", "3", "--theta-max", "0.03")
