@@ -9,15 +9,17 @@ which is the cancelling difference ``1 - scaled_total``.
 Run ``PYTHONPATH=src python tests/test_goldens.py [name ...]`` to write a
 missing golden file, or, for a change that is meant to move outputs, to
 rewrite only the rows that fall outside these tolerances; it prints how many
-rows moved per preset and the largest move.
+rows moved per preset and the largest move.  A name from ``CLI_GOLDENS``
+rewrites that file whole.
 
 ``couple_<wavelength>.csv`` hold the output of ``repeaterscope couple
 --wavelength <wavelength>`` at its default 26 tilt angles; the angle and the
 HCF constant must match exactly, ``eta_smf_1550`` to a relative 1e-12.
 
-``chain_<case>.json`` hold the output of ``repeaterscope chain ... --trace
---oracle`` for the arguments in ``CHAIN_GOLDENS``, and must match byte for
-byte.
+``CLI_GOLDENS`` maps the other golden files to the ``repeaterscope``
+arguments that write them: ``link``, ``chain`` (with ``--trace --oracle``,
+in CSV, and at a certain reset) and a small ``sweep`` in JSON, whose config
+is ``sweep_small_config.json``.  Each must match byte for byte.
 """
 
 import csv
@@ -119,22 +121,36 @@ def test_couple_matches_golden(wavelength, tmp_path):
         assert float(r["eta_smf_1550"]) == pytest.approx(float(g["eta_smf_1550"]), rel=REL_TOL, abs=0.0)
 
 
-CHAIN_GOLDENS = {
-    "chain_hcf": ["--medium", "HCF", "--l0", "20", "--n", "2", "--m", "1024", "--eps-g", "1e-3"],
+_CHAIN_HCF = ["chain", "--medium", "HCF", "--l0", "20", "--n", "2", "--m", "1024", "--eps-g", "1e-3"]
+_WITH_ORACLE = ["--trace", "--oracle", "--trials", "20000"]
+
+CLI_GOLDENS = {
+    "chain_hcf.json": [*_CHAIN_HCF, *_WITH_ORACLE],
     # distills at levels 0-2, and every Monte-Carlo trial stays clean
-    "chain_smf_distilling": ["--medium", "SMF", "--l0", "20", "--n", "3", "--m", "1024", "--f-th", "0.999"],
+    "chain_smf_distilling.json": [
+        "chain", "--medium", "SMF", "--l0", "20", "--n", "3", "--m", "1024", "--f-th", "0.999",
+        *_WITH_ORACLE,
+    ],
+    "chain_hcf.csv": [*_CHAIN_HCF, "--format", "csv"],
+    # pi0 = 0: every burst resets at generation
+    "chain_certain_reset.json": ["chain", "--eta-hardware", "0", "--n", "3"],
+    "link_hcf.json": ["link", "--medium", "HCF", "--l0", "20"],
+    # a single-wavelength medium has no conversion threshold
+    "link_smf.csv": ["link", "--medium", "SMF", "--format", "csv"],
+    "sweep_small.json": [
+        "sweep", "--config", str(GOLDEN_DIR / "sweep_small_config.json"), "--format", "json",
+    ],
 }
 
 
-def _chain(name: str, out: pathlib.Path) -> str:
-    args = ["chain", *CHAIN_GOLDENS[name], "--trace", "--oracle", "--trials", "20000", "--out", str(out)]
-    assert cli.main(args) == 0
+def _run(name: str, out: pathlib.Path) -> str:
+    assert cli.main([*CLI_GOLDENS[name], "--out", str(out)]) == 0
     return out.read_text()
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_GOLDENS))
-def test_chain_matches_golden(name, tmp_path):
-    assert _chain(name, tmp_path / "chain.json") == (GOLDEN_DIR / f"{name}.json").read_text()
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_command_matches_golden(name, tmp_path):
+    assert _run(name, tmp_path / name) == (GOLDEN_DIR / name).read_text()
 
 
 def test_chain_plans_its_schedule_once(monkeypatch, tmp_path):
@@ -151,7 +167,7 @@ def test_chain_plans_its_schedule_once(monkeypatch, tmp_path):
         for module in (cli, protocol):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
-    text = _chain("chain_hcf", tmp_path / "chain.json")
+    text = _run("chain_hcf.json", tmp_path / "chain.json")
     assert calls == ["select_wavelength", "build_schedule"]
     assert text == (GOLDEN_DIR / "chain_hcf.json").read_text()
 
@@ -159,6 +175,10 @@ def test_chain_plans_its_schedule_once(monkeypatch, tmp_path):
 def write_goldens(names) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in names:
+        if name in CLI_GOLDENS:
+            _run(name, GOLDEN_DIR / name)
+            print(f"{name}: written")
+            continue
         path = GOLDEN_DIR / f"{name}.csv"
         text = rows_to_csv(run_sweep(GOLDEN_SPECS[name]()))
         if not path.exists():
