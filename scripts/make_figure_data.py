@@ -13,7 +13,7 @@ import time
 from repeaterscope import sweep
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figure_data")
     parser.add_argument(
@@ -21,7 +21,7 @@ def main() -> int:
         nargs="*",
         default=["fig3", "fig5", "fig6", "fig7", "fig8", "skr_curves"],
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -34,7 +34,7 @@ def main() -> int:
             swept[spec] = sweep.run_sweep(spec)
         rows = swept[spec]
         path = out_dir / f"{name}.csv"
-        sweep.write_csv(rows, str(path))
+        path.write_text(sweep.rows_to_csv(rows), newline="")
         print(f"{name}: {len(rows)} rows -> {path} ({time.perf_counter() - t0:.1f}s)")
     return 0
 

@@ -265,8 +265,11 @@ class CascadeBatch:
     E[floor(k/2)] attempts per segment and every pairing performs
     min(left, right) swaps, weighted by the probability that no segment has
     run dry before the level executes.  ``certain_reset[b]`` names why row b
-    resets with probability one, or is None; the other entries of such a
-    row carry no meaning.  ``p_cond``/``q_cond`` hold each level's rows.
+    resets with probability one, or is None.  Such a burst delivers nothing:
+    its ``completion_prob``, ``expected_end_pairs``, ``mass_defect``,
+    ``swaps`` and ``distill_attempts`` are zero, and its ``p_cond``,
+    ``q_cond``, ``r`` and ``f`` carry no meaning.  ``p_cond``/``q_cond``
+    hold each level's rows.
 
     ``completion_prob`` is the product of per-level no-reset factors
     ``(1 - r_i) ** (N / 2**i)``; together with the reset probabilities ``f``
@@ -364,7 +367,7 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
         raise ValueError("a batch must share n, m and the distillation schedule")
     n, flags, n_links = head.n, head.distill_flags, head.n_links
     zeros = np.zeros(len(configs))
-    dead = zeros.astype(bool)  # rows that reset with certainty: NaN, unchecked
+    dead = zeros.astype(bool)  # rows that reset with certainty: unchecked
     failures: list[str | None] = [None] * len(configs)
 
     def fail(newly, message):
@@ -402,15 +405,16 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
         survive.append(1.0 - ri)
         defects.append(defect)
     f, completion = _reset_rows(np.column_stack(survive), n_links)
+    per_level = dead[:, None]
     return CascadeBatch(
         p_cond=tuple(p_cond),
         q_cond=tuple(q_cond),
         r=np.column_stack(r),
         f=f,
-        completion_prob=completion,
-        expected_end_pairs=completion * _row_means(p, np.arange(p.shape[1])),
-        mass_defect=np.column_stack(defects),
-        swaps=np.column_stack(swaps),
-        distill_attempts=np.column_stack(attempts),
+        completion_prob=np.where(dead, 0.0, completion),
+        expected_end_pairs=np.where(dead, 0.0, completion * _row_means(p, np.arange(p.shape[1]))),
+        mass_defect=np.where(per_level, 0.0, np.column_stack(defects)),
+        swaps=np.where(per_level, 0.0, np.column_stack(swaps)),
+        distill_attempts=np.where(per_level, 0.0, np.column_stack(attempts)),
         certain_reset=tuple(failures),
     )

@@ -137,8 +137,6 @@ def select_wavelength(
 
     Ties resolve toward 1550 nm.
     """
-    if not medium.allowed_wavelengths:
-        raise ConfigurationError(f"{medium.name} allows no wavelength")
     best = max(
         sorted(medium.allowed_wavelengths),
         key=lambda wl: (
@@ -153,18 +151,13 @@ def select_wavelength(
 def conversion_threshold(medium: MediumProfile, l0_km: float) -> float:
     """Conversion efficiency at which direct and telecom transmission tie.
 
-    Below the returned value the memory-native wavelength wins.  Requires a
-    medium that supports both wavelengths.
+    Below the returned value the memory-native wavelength wins.  NaN on a
+    medium that lacks 780 or 1550 nm, where there is no choice to make.
     """
-    if (
-        MEMORY_NM not in medium.allowed_wavelengths
-        or TELECOM_NM not in medium.allowed_wavelengths
-    ):
-        raise UnsupportedWavelengthError(
-            f"{medium.name} does not support both wavelengths"
-        )
     if l0_km < 0.0:
         raise ConfigurationError("spacing must be non-negative")
+    if not {MEMORY_NM, TELECOM_NM} <= medium.allowed_wavelengths:
+        return math.nan
     inv_diff = 1.0 / medium.att_length_km[MEMORY_NM] - 1.0 / medium.att_length_km[
         TELECOM_NM
     ]

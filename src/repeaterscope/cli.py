@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -43,18 +42,16 @@ def _medium(name: str):
     return media[key]
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
+def _emit(records: dict | list[dict], fmt: str, out: str | None) -> None:
+    """Write one record, or a list of records, as JSON or CSV to ``out`` or
+    to stdout."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2, default=float) + "\n"
+        text = json.dumps(records, indent=2, default=float) + "\n"
     else:
+        rows = [records] if isinstance(records, dict) else records
         # nested structures (trace, oracle) only fit the json format
-        keys = [k for k, v in payload.items() if not isinstance(v, (dict, list))]
-        text = ",".join(keys) + "\n"
-        text += ",".join(sweep.format_cell(payload[k]) for k in keys) + "\n"
-    _write(text, out)
-
-
-def _write(text: str, out: str | None) -> None:
+        keys = [k for k, v in rows[0].items() if not isinstance(v, (dict, list))]
+        text = sweep.csv_text(keys, ([row[k] for k in keys] for row in rows))
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -78,26 +75,27 @@ def _cmd_link(args: argparse.Namespace) -> None:
     }
     for wl in sorted(medium.allowed_wavelengths):
         payload[f"pi0_{wl}nm"] = elementary_success(medium, budget, wl)
-    try:
-        payload["conv_eff_threshold"] = conversion_threshold(medium, budget.l0_km)
-    except UnsupportedWavelengthError:
-        payload["conv_eff_threshold"] = math.nan
+    payload["conv_eff_threshold"] = conversion_threshold(medium, budget.l0_km)
     _emit(payload, args.format, args.out)
 
 
 def _cmd_couple(args: argparse.Namespace) -> None:
+    if args.points < 1:
+        raise ConfigurationError("--points must be at least 1")
     fiber = coupling.near_cutoff_smf(args.wavelength)
     mode = coupling.fiber_mode(fiber, args.wavelength)
     w_opt, _ = coupling.optimize_waist(fiber, mode)
     beam = coupling.GaussianBeam(waist_um=w_opt, wavelength_nm=args.wavelength)
-    thetas = np.linspace(0.0, args.theta_max, args.points)
-    lines = ["theta_rad,eta_smf_1550,eta_constants_hcf"]
     facet = coupling.facet_transmission(fiber)
-    for theta in thetas:
-        eta_smf = coupling.tilted_eta(beam, fiber, mode, float(theta)) * facet
-        eta_hcf = coupling.effective_coupling("HCF", float(theta))
-        lines.append(",".join(sweep.format_cell(x) for x in (float(theta), eta_smf, eta_hcf)))
-    _write("\n".join(lines) + "\n", args.out)
+    rows = [
+        {
+            "theta_rad": theta,
+            "eta_smf_1550": coupling.tilted_eta(beam, fiber, mode, theta) * facet,
+            "eta_constants_hcf": coupling.effective_coupling("HCF", theta),
+        }
+        for theta in map(float, np.linspace(0.0, args.theta_max, args.points))
+    ]
+    _emit(rows, "csv", args.out)
 
 
 def _chain_payload(args: argparse.Namespace) -> dict:
@@ -166,24 +164,16 @@ def _cmd_chain(args: argparse.Namespace) -> None:
     _emit(_chain_payload(args), args.format, args.out)
 
 
-def _rows_out(rows, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        payload = [dataclasses.asdict(r) for r in rows]
-        _write(json.dumps(payload, indent=2, default=float) + "\n", out)
-    else:
-        _write(sweep.rows_to_csv(rows), out)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> None:
     spec, profiles = sweep.load_config(args.config)
     rows = sweep.run_sweep(spec, profiles)
-    _rows_out(rows, args.format, args.out or spec.output_path)
+    _emit([dataclasses.asdict(r) for r in rows], args.format, args.out or spec.output_path)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     spec = sweep.figure_preset(args.name)
     rows = sweep.run_sweep(spec)
-    _rows_out(rows, args.format, args.out)
+    _emit([dataclasses.asdict(r) for r in rows], args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -111,8 +111,6 @@ def wait_time(level: int, l0_km: float, velocity_kms: float) -> float:
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    if level == 0:
-        return l0_km / velocity_kms
     return (1 << level) * l0_km / velocity_kms
 
 
@@ -155,42 +153,6 @@ def build_schedule(config: ProtocolConfig) -> LevelTrace:
         if level < config.n:
             state = swap(state, state, config.noise)
     return LevelTrace(steps=tuple(steps))
-
-
-def _certain_reset_point(config, wavelength, end_state, reason) -> PerformancePoint:
-    return PerformancePoint(
-        skr_pcu=0.0,
-        expected_end_pairs=0.0,
-        completion_prob=0.0,
-        end_state=end_state,
-        ops=metrics.OpCounts(0.0, 0.0, 0.0, 0.0),
-        wavelength_used_nm=wavelength,
-        l0_km=config.budget.l0_km,
-        n=config.n,
-        m=config.m,
-        diagnostic=f"certain reset: {reason}",
-    )
-
-
-def _performance_point(
-    config, wavelength, end_state, key, end_pairs, completion, defects, swaps, attempts
-) -> PerformancePoint:
-    """Package one row of the count recursion into a chain outcome."""
-    # normalize by all channel uses of the burst: M attempts on each of the
-    # N elementary links
-    channel_uses = config.m * (1 << config.n)
-    return PerformancePoint(
-        skr_pcu=float(end_pairs) * key / channel_uses,
-        expected_end_pairs=float(end_pairs),
-        completion_prob=float(completion),
-        end_state=end_state,
-        ops=metrics.ops_per_burst(swaps, attempts),
-        wavelength_used_nm=wavelength,
-        l0_km=config.budget.l0_km,
-        n=config.n,
-        m=config.m,
-        mass_defect=float(defects.max()),
-    )
 
 
 def cascade_config(config: ProtocolConfig, trace: LevelTrace, pi0: float) -> CascadeConfig:
@@ -247,18 +209,26 @@ class ChainPlan:
             )
         except ValueError as exc:
             raise ScheduleError(str(exc)) from exc
-        end_state = self.trace.end_state
         points = []
         for b, (config, (wavelength, _)) in enumerate(zip(configs, choices)):
-            if batch.certain_reset[b]:
-                point = _certain_reset_point(config, wavelength, end_state, batch.certain_reset[b])
-            else:
-                point = _performance_point(
-                    config, wavelength, end_state, self.key,
-                    batch.expected_end_pairs[b], batch.completion_prob[b], batch.mass_defect[b],
-                    batch.swaps[b], batch.distill_attempts[b],
-                )
-            points.append(point)
+            end_pairs = float(batch.expected_end_pairs[b])
+            reason = batch.certain_reset[b]
+            # normalize by all channel uses of the burst: M attempts on each
+            # of the N elementary links
+            channel_uses = config.m * (1 << config.n)
+            points.append(PerformancePoint(
+                skr_pcu=end_pairs * self.key / channel_uses,
+                expected_end_pairs=end_pairs,
+                completion_prob=float(batch.completion_prob[b]),
+                end_state=self.trace.end_state,
+                ops=metrics.ops_per_burst(batch.swaps[b], batch.distill_attempts[b]),
+                wavelength_used_nm=wavelength,
+                l0_km=config.budget.l0_km,
+                n=config.n,
+                m=config.m,
+                mass_defect=float(batch.mass_defect[b].max()),
+                diagnostic=f"certain reset: {reason}" if reason else None,
+            ))
         return points
 
 

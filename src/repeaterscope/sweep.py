@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 from . import metrics
 from .channel import (
@@ -51,6 +53,10 @@ class SweepSpec:
             raise ConfigurationError("total_distance_km axis is empty")
         if any(d <= 0 for d in self.total_distance_km):
             raise ConfigurationError("total distances must be positive")
+        if not all(isinstance(v, numbers.Integral) for v in (self.m, *self.n_range)):
+            raise ConfigurationError("m and the n_range entries must be integers")
+        if not isinstance(self.f_th, numbers.Real):
+            raise ConfigurationError("f_th must be a number")
         if not self.n_range or any(n < 0 or n > 12 for n in self.n_range):
             raise ConfigurationError("n_range entries must lie in [0, 12]")
         for name in ("conv_eff", "eta_hardware", "t2_s", "eps_g"):
@@ -185,10 +191,6 @@ def _media_table(profiles: dict[str, MediumProfile] | None) -> dict[str, MediumP
 
 def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
     (name, dist, conv, eta_hw, t2, eps), (best_n, best_l0, point) = key, best
-    try:
-        threshold = conversion_threshold(medium, best_l0)
-    except ValueError:
-        threshold = math.nan
     return SweepRow(
         medium=name,
         total_distance_km=dist,
@@ -207,7 +209,7 @@ def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
         gate_ops_per_burst=point.ops.two_qubit_gates,
         measurement_ops_per_burst=point.ops.measurements,
         mass_defect=point.mass_defect,
-        conv_eff_threshold=threshold,
+        conv_eff_threshold=conversion_threshold(medium, best_l0),
     )
 
 
@@ -255,18 +257,16 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    header = ",".join(f.name for f in fields(SweepRow))
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_cell(getattr(row, f.name)) for f in fields(SweepRow)))
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line, then one line of cells per row, each ending in ``\\n``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows: list[SweepRow], path: str) -> None:
-    text = rows_to_csv(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def rows_to_csv(rows: list[SweepRow]) -> str:
+    names = [f.name for f in fields(SweepRow)]
+    return csv_text(names, ([getattr(row, name) for name in names] for row in rows))
 
 
 def spec_from_dict(raw: dict) -> SweepSpec:
@@ -276,11 +276,11 @@ def spec_from_dict(raw: dict) -> SweepSpec:
     if unknown:
         raise ConfigurationError(f"unknown sweep config keys: {sorted(unknown)}")
     kwargs = dict(raw)
-    for name in ("media", "total_distance_km", "conv_eff", "eta_hardware",
-                 "t2_s", "eps_g", "n_range"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
     try:
+        for name in ("media", "total_distance_km", "conv_eff", "eta_hardware",
+                     "t2_s", "eps_g", "n_range"):
+            if name in kwargs:
+                kwargs[name] = tuple(kwargs[name])
         return SweepSpec(**kwargs)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
@@ -312,7 +312,10 @@ def load_config(path: str) -> tuple[SweepSpec, dict[str, MediumProfile]]:
     if not isinstance(raw, dict):
         raise ConfigurationError("sweep config must be a JSON object")
     media_raw = raw.pop("media_profiles", {})
-    profiles = media_from_dict(media_raw) if media_raw else {}
+    try:
+        profiles = media_from_dict(media_raw) if media_raw else {}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"malformed media_profiles: {exc!r}") from exc
     return spec_from_dict(raw), profiles
 
 

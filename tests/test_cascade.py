@@ -425,6 +425,32 @@ class TestRunCascadeBatch:
                 assert np.array_equal(batch.p_cond[level][b], single.p_cond[level][0])
                 assert np.array_equal(batch.q_cond[level][b], single.q_cond[level][0])
 
+    @pytest.mark.parametrize(
+        "config,reason",
+        [
+            pytest.param(CascadeConfig(n=1, m=16, pi0=0.0), "generation cannot", id="generation"),
+            # a level-0 distillation that never succeeds leaves no pair: the
+            # next level resets for sure if it distills (code 1) and keeps no
+            # pair if it does not (code 2)
+            pytest.param(
+                CascadeConfig(n=2, m=16, pi0=0.5, distill_flags=(True, True, False),
+                              distill_success=(0.0, 1.0, 1.0)),
+                "reset occurs with probability one", id="code-1",
+            ),
+            pytest.param(
+                CascadeConfig(n=1, m=16, pi0=0.5, distill_flags=(True, False), distill_success=(0.0, 1.0)),
+                "no pairing outcome keeps at least one pair", id="code-2",
+            ),
+        ],
+    )
+    def test_dead_rows_deliver_nothing(self, config, reason):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = run_cascade_batch([config])
+        assert batch.certain_reset[0].startswith(reason)
+        assert batch.completion_prob[0] == batch.expected_end_pairs[0] == 0.0
+        for name in ("mass_defect", "swaps", "distill_attempts"):
+            assert np.array_equal(getattr(batch, name)[0], np.zeros(config.n + 1)), name
+
     def test_rows_must_share_the_schedule(self):
         mixed = self.configs([0.3]) + [CascadeConfig(n=3, m=32, pi0=0.3)]
         with pytest.raises(ValueError):

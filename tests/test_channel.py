@@ -44,6 +44,10 @@ class TestProfiles:
                 coupling_mem_fiber=0.83,
             )
 
+    def test_medium_without_wavelength_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="allows no wavelength"):
+            MediumProfile("X", {}, 0.5)
+
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
             LinkBudget(eta_hardware=1.2, conv_eff=0.5, l0_km=10.0)
@@ -139,8 +143,8 @@ class TestConversionThreshold:
         assert conversion_threshold(HCF, 50.0) == pytest.approx(0.4870, abs=5e-4)
 
     def test_smf_unsupported(self):
-        with pytest.raises(UnsupportedWavelengthError):
-            conversion_threshold(SMF, 20.0)
+        # a single-wavelength medium has no threshold to report
+        assert math.isnan(conversion_threshold(SMF, 20.0))
 
     @pytest.mark.parametrize("l0", [1.0, 7.5, 20.0, 42.0, 77.0, 100.0])
     def test_matches_numerical_equality_solve(self, l0):

@@ -68,3 +68,32 @@ def test_schedule_error_from_the_recursion_exits_2(monkeypatch):
 
     monkeypatch.setattr(protocol, "run_cascade_batch", bad_batch)
     assert cli.main(["chain", "--n", "1", "--m", "8"]) == 2
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"media_profiles": {"X": {"coupling_mem_fiber": 0.5}}},
+        {"total_distance_km": 100},
+        {"media_profiles": {"X": {"att_length_km": {"1550": 30.0}, "coupling_mem_fiber": [1]}}},
+        {"media_profiles": [1]},
+        {"m": "16"},
+        {"f_th": "0.9"},
+        {"n_range": [0.5]},
+    ],
+    ids=[
+        "profile-without-attenuation", "scalar-axis", "list-coupling", "profiles-not-a-mapping",
+        "string-width", "string-threshold", "fractional-depth",
+    ],
+)
+def test_malformed_sweep_config_exits_2(override, tmp_path, capsys):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"media": ["HCF"], "total_distance_km": [80.0], "m": 16, **override}))
+    assert cli.main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_couple_without_points_exits_2(capsys):
+    # the CSV header comes from the first row, so a scan needs one angle
+    assert cli.main(["couple", "--points", "0"]) == 2
+    assert "--points must be at least 1" in capsys.readouterr().err

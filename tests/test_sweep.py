@@ -28,7 +28,6 @@ from repeaterscope.sweep import (
     rows_to_csv,
     run_sweep,
     spec_from_dict,
-    write_csv,
 )
 
 
@@ -116,16 +115,11 @@ class TestRunSweep:
         assert [r.medium for r in rows] == ["HCF", "HCF", "SMF", "SMF"]
         assert [r.total_distance_km for r in rows] == [100.0, 200.0, 100.0, 200.0]
 
-    def test_csv_deterministic_and_parallel_invariant(self, tmp_path):
+    def test_csv_deterministic_and_parallel_invariant(self):
         spec = small_spec()
         rows_serial = run_sweep(spec, threads=1)
         rows_parallel = run_sweep(spec, threads=4)
         assert rows_to_csv(rows_serial) == rows_to_csv(rows_parallel)
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        write_csv(rows_serial, str(p1))
-        write_csv(run_sweep(spec, threads=1), str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_matches_row_fields(self):
         rows = run_sweep(small_spec(media=("HCF",), total_distance_km=(100.0,)))
@@ -283,10 +277,7 @@ class TestFigurePresets:
         swept = []
         real = sweep.run_sweep
         monkeypatch.setattr(sweep, "run_sweep", lambda spec, **kw: swept.append(spec) or real(spec, **kw))
-        monkeypatch.setattr(
-            sys, "argv", ["make_figure_data.py", "--out-dir", str(tmp_path), "--presets", "fig5", "fig7"]
-        )
-        assert module.main() == 0
+        assert module.main(["--out-dir", str(tmp_path), "--presets", "fig5", "fig7"]) == 0
         assert swept == [figure_preset("fig5")]
         assert (tmp_path / "fig7.csv").read_bytes() == (tmp_path / "fig5.csv").read_bytes()
 
