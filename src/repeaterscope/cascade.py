@@ -94,13 +94,9 @@ def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
 
     k input pairs form floor(k/2) disjoint attempts, each surviving with
     probability ``d``; an odd leftover pair is consumed.  ``cap`` is the
-    output support bound floor(M_i / 2).
+    output support bound floor(M_i / 2), which rows of width M_i + 1 cannot
+    exceed.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"d must lie in [0, 1], got {d}")
-    mmax = (probs.shape[1] - 1) // 2
-    if cap < mmax:
-        raise ValueError(f"cap {cap} cannot hold up to {mmax} distilled pairs")
     # group j in {2m, 2m+1}: both feed floor(j/2) = m attempts
     grouped = probs[:, 0::2].copy()
     odd = probs[:, 1::2]

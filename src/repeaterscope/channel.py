@@ -9,7 +9,7 @@ efficiency on top of the common hardware and facet-coupling factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coupling import HCF_COUPLING_AT_TOL, SMF_COUPLING_AT_TOL
 
@@ -21,10 +21,6 @@ TELECOM_NM = 1550
 DEFAULT_SIGNAL_VELOCITY = 2.0e5
 
 
-class UnsupportedWavelengthError(ValueError):
-    """Raised when a wavelength is not usable on the given medium."""
-
-
 class ConfigurationError(ValueError):
     """Raised for inconsistent medium or budget configuration."""
 
@@ -34,29 +30,20 @@ class MediumProfile:
     """Transmission-medium constants: attenuation table, coupling, velocity."""
 
     name: str
-    att_length_km: dict[int, float]
+    att_length_km: dict[int, float]  # its keys are the medium's wavelengths
     coupling_mem_fiber: float
     signal_velocity_kms: float = DEFAULT_SIGNAL_VELOCITY
-    allowed_wavelengths: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not self.allowed_wavelengths:
-            object.__setattr__(
-                self, "allowed_wavelengths", frozenset(self.att_length_km)
-            )
-        if not self.allowed_wavelengths <= set(self.att_length_km):
-            raise ConfigurationError(
-                "every allowed wavelength needs an attenuation length"
-            )
-        if not self.allowed_wavelengths:
+        if not self.att_length_km:
             raise ConfigurationError("medium allows no wavelength")
-        if any(l <= 0.0 for l in self.att_length_km.values()):
-            raise ConfigurationError("attenuation lengths must be positive")
+        if any(not 0.0 < l < math.inf for l in self.att_length_km.values()):
+            raise ConfigurationError("attenuation lengths must be positive and finite")
         if not 0.0 <= self.coupling_mem_fiber <= 1.0:
             raise ConfigurationError("coupling efficiency must lie in [0, 1]")
-        if self.signal_velocity_kms <= 0.0:
-            raise ConfigurationError("signal velocity must be positive")
-        if self.name.upper() == "SMF" and MEMORY_NM in self.allowed_wavelengths:
+        if not 0.0 < self.signal_velocity_kms < math.inf:
+            raise ConfigurationError("signal velocity must be positive and finite")
+        if self.name.upper() == "SMF" and MEMORY_NM in self.att_length_km:
             raise ConfigurationError(
                 "silica SMF is not operated at the memory wavelength"
             )
@@ -75,8 +62,8 @@ class LinkBudget:
             raise ConfigurationError("eta_hardware must lie in [0, 1]")
         if not 0.0 <= self.conv_eff <= 1.0:
             raise ConfigurationError("conv_eff must lie in [0, 1]")
-        if self.l0_km <= 0.0:
-            raise ConfigurationError("inter-repeater spacing must be positive")
+        if not 0.0 < self.l0_km < math.inf:
+            raise ConfigurationError("inter-repeater spacing must be positive and finite")
 
 
 def smf_profile() -> MediumProfile:
@@ -107,8 +94,8 @@ def eta_c(medium: MediumProfile, budget: LinkBudget, wavelength_nm: int) -> floa
     At the memory-native wavelength no conversion runs; elsewhere the
     bidirectional conversion efficiency multiplies in.
     """
-    if wavelength_nm not in medium.allowed_wavelengths:
-        raise UnsupportedWavelengthError(
+    if wavelength_nm not in medium.att_length_km:
+        raise ConfigurationError(
             f"{wavelength_nm} nm is not allowed on {medium.name}"
         )
     eta = budget.eta_hardware * medium.coupling_mem_fiber
@@ -133,12 +120,12 @@ def elementary_success(
 def select_wavelength(
     medium: MediumProfile, budget: LinkBudget
 ) -> tuple[int, float]:
-    """Pick the allowed wavelength maximizing the link success probability.
+    """Pick the medium's wavelength maximizing the link success probability.
 
     Ties resolve toward 1550 nm.
     """
     best = max(
-        sorted(medium.allowed_wavelengths),
+        sorted(medium.att_length_km),
         key=lambda wl: (
             elementary_success(medium, budget, wl),
             wl == TELECOM_NM,
@@ -156,7 +143,7 @@ def conversion_threshold(medium: MediumProfile, l0_km: float) -> float:
     """
     if l0_km < 0.0:
         raise ConfigurationError("spacing must be non-negative")
-    if not {MEMORY_NM, TELECOM_NM} <= medium.allowed_wavelengths:
+    if not {MEMORY_NM, TELECOM_NM} <= medium.att_length_km.keys():
         return math.nan
     inv_diff = 1.0 / medium.att_length_km[MEMORY_NM] - 1.0 / medium.att_length_km[
         TELECOM_NM

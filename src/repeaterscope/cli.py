@@ -4,7 +4,8 @@ Subcommands: ``link`` (elementary-link budget numbers), ``couple`` (facet
 coupling vs tilt angle), ``chain`` (one end-to-end evaluation), ``sweep``
 (grid sweep from a JSON config) and ``figure`` (named preset sweeps).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error (any ``ValueError`` or
+``OSError``), 3 numeric failure (any ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from . import coupling, metrics, sweep
 from .channel import (
     ConfigurationError,
     LinkBudget,
-    UnsupportedWavelengthError,
+    MediumProfile,
     conversion_threshold,
     default_media,
     elementary_success,
     select_wavelength,
 )
-from .coupling import QuadratureError, SolverError
 from .protocol import ProtocolConfig, cascade_config, plan_chains
 from .states import NoiseParams, key_fraction
 
@@ -34,12 +34,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _medium(name: str):
+def _link_inputs(args: argparse.Namespace) -> tuple[MediumProfile, LinkBudget]:
+    """The medium and link budget that ``link`` and ``chain`` share."""
     media = default_media()
-    key = name.upper()
+    key = args.medium.upper()
     if key not in media:
-        raise ConfigurationError(f"unknown medium {name!r}; choose from {sorted(media)}")
-    return media[key]
+        raise ConfigurationError(f"unknown medium {args.medium!r}; choose from {sorted(media)}")
+    return media[key], LinkBudget(args.eta_hardware, args.conv_eff, args.l0)
 
 
 def _emit(records: dict | list[dict], fmt: str, out: str | None) -> None:
@@ -60,10 +61,7 @@ def _emit(records: dict | list[dict], fmt: str, out: str | None) -> None:
 
 
 def _cmd_link(args: argparse.Namespace) -> None:
-    medium = _medium(args.medium)
-    budget = LinkBudget(
-        eta_hardware=args.eta_hardware, conv_eff=args.conv_eff, l0_km=args.l0
-    )
+    medium, budget = _link_inputs(args)
     wavelength, pi0 = select_wavelength(medium, budget)
     payload = {
         "medium": medium.name,
@@ -73,7 +71,7 @@ def _cmd_link(args: argparse.Namespace) -> None:
         "wavelength_nm": wavelength,
         "pi0": pi0,
     }
-    for wl in sorted(medium.allowed_wavelengths):
+    for wl in sorted(medium.att_length_km):
         payload[f"pi0_{wl}nm"] = elementary_success(medium, budget, wl)
     payload["conv_eff_threshold"] = conversion_threshold(medium, budget.l0_km)
     _emit(payload, args.format, args.out)
@@ -99,12 +97,10 @@ def _cmd_couple(args: argparse.Namespace) -> None:
 
 
 def _chain_payload(args: argparse.Namespace) -> dict:
-    medium = _medium(args.medium)
+    medium, budget = _link_inputs(args)
     config = ProtocolConfig(
         medium=medium,
-        budget=LinkBudget(
-            eta_hardware=args.eta_hardware, conv_eff=args.conv_eff, l0_km=args.l0
-        ),
+        budget=budget,
         noise=NoiseParams(args.eps_g, t2=args.t2),
         n=args.n,
         m=args.m,
@@ -183,13 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    link = sub.add_parser("link", help="elementary-link budget for one spacing")
-    link.add_argument("--medium", default="HCF")
-    link.add_argument("--l0", type=float, default=20.0, help="spacing in km")
-    link.add_argument("--conv-eff", type=float, default=0.5, dest="conv_eff")
-    link.add_argument("--eta-hardware", type=float, default=1.0, dest="eta_hardware")
-    link.add_argument("--format", choices=("json", "csv"), default="json")
-    link.add_argument("--out")
+    # options shared by link and chain, and by sweep and figure
+    link_opts = argparse.ArgumentParser(add_help=False)
+    link_opts.add_argument("--medium", default="HCF")
+    link_opts.add_argument("--l0", type=float, default=20.0, help="spacing in km")
+    link_opts.add_argument("--conv-eff", type=float, default=0.5, dest="conv_eff")
+    link_opts.add_argument("--eta-hardware", type=float, default=1.0, dest="eta_hardware")
+    link_opts.add_argument("--format", choices=("json", "csv"), default="json")
+    link_opts.add_argument("--out")
+    grid_opts = argparse.ArgumentParser(add_help=False)
+    grid_opts.add_argument("--out")
+    grid_opts.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    link = sub.add_parser("link", parents=[link_opts],
+                          help="elementary-link budget for one spacing")
     link.set_defaults(func=_cmd_link)
 
     couple = sub.add_parser("couple", help="facet coupling vs tilt angle (CSV)")
@@ -199,35 +202,28 @@ def build_parser() -> argparse.ArgumentParser:
     couple.add_argument("--out")
     couple.set_defaults(func=_cmd_couple)
 
-    chain = sub.add_parser("chain", help="evaluate one chain configuration")
-    chain.add_argument("--medium", default="HCF")
-    chain.add_argument("--l0", type=float, default=20.0)
+    chain = sub.add_parser("chain", parents=[link_opts],
+                           help="evaluate one chain configuration")
     chain.add_argument("--n", type=int, default=2)
     chain.add_argument("--m", type=int, default=1024)
     chain.add_argument("--eps-g", type=float, default=1e-3, dest="eps_g")
     chain.add_argument("--t2", type=float, default=1.0)
-    chain.add_argument("--conv-eff", type=float, default=0.5, dest="conv_eff")
-    chain.add_argument("--eta-hardware", type=float, default=1.0, dest="eta_hardware")
     chain.add_argument("--f-th", type=float, default=0.95, dest="f_th")
     chain.add_argument("--trace", action="store_true", help="include per-level trace")
     chain.add_argument("--oracle", action="store_true",
                        help="attach Monte-Carlo validation numbers")
     chain.add_argument("--trials", type=int, default=100_000)
     chain.add_argument("--seed", type=int, default=20260809)
-    chain.add_argument("--format", choices=("json", "csv"), default="json")
-    chain.add_argument("--out")
     chain.set_defaults(func=_cmd_chain)
 
-    sweep_cmd = sub.add_parser("sweep", help="run a sweep from a JSON config")
+    sweep_cmd = sub.add_parser(
+        "sweep", parents=[grid_opts], help="run a sweep from a JSON config"
+    )
     sweep_cmd.add_argument("--config", required=True)
-    sweep_cmd.add_argument("--out")
-    sweep_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
-    figure = sub.add_parser("figure", help="run a named preset sweep")
+    figure = sub.add_parser("figure", parents=[grid_opts], help="run a named preset sweep")
     figure.add_argument("name")
-    figure.add_argument("--out")
-    figure.add_argument("--format", choices=("csv", "json"), default="csv")
     figure.set_defaults(func=_cmd_figure)
 
     return parser
@@ -238,10 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigurationError, UnsupportedWavelengthError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, QuadratureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

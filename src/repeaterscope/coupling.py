@@ -35,11 +35,11 @@ HCF_COUPLING_AT_TOL = 0.79
 SMF_COUPLING_AT_TOL = 0.83
 
 
-class SolverError(RuntimeError):
+class SolverError(ArithmeticError):
     """Raised when the characteristic-equation root cannot be bracketed."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Raised when an overlap integral fails to converge."""
 
 
@@ -53,8 +53,8 @@ class StepIndexFiber:
     ar_coated: bool = False
 
     def __post_init__(self) -> None:
-        if self.core_radius_um <= 0.0:
-            raise ValueError("core radius must be positive")
+        if not 0.0 < self.core_radius_um < math.inf:
+            raise ValueError("core radius must be positive and finite")
         if not self.n1 > self.n2 >= 1.0:
             raise ValueError("need n1 > n2 >= 1")
         if not 0.0 < self.numerical_aperture < 1.0:
@@ -92,14 +92,14 @@ class GaussianBeam:
     def __post_init__(self) -> None:
         if self.waist_um <= 0.0:
             raise ValueError("waist must be positive")
-        if self.wavelength_nm <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not 0.0 < self.wavelength_nm < math.inf:
+            raise ValueError("wavelength must be positive and finite")
 
 
 def normalized_frequency(fiber: StepIndexFiber, wavelength_nm: float) -> float:
     """V = (2 pi a / lambda) NA; warns when the fiber turns multimode."""
-    if wavelength_nm <= 0.0:
-        raise ValueError("wavelength must be positive")
+    if not 0.0 < wavelength_nm < math.inf:
+        raise ValueError("wavelength must be positive and finite")
     v = 2.0 * math.pi * fiber.core_radius_um / (wavelength_nm * 1e-3)
     v *= fiber.numerical_aperture
     if v >= MULTIMODE_WARN_V:
@@ -281,7 +281,7 @@ def tilted_eta(
 
     Reduces exactly to ``overlap_eta`` at theta = 0; symmetric in theta.
     """
-    if abs(theta_rad) >= 0.5:
+    if not abs(theta_rad) < 0.5:
         raise ValueError("tilt model is only valid for |theta| < 0.5 rad")
     k_free = 2.0 * math.pi / (beam.wavelength_nm * 1e-3)
     q = k_free * math.sin(abs(theta_rad))
@@ -342,6 +342,8 @@ NEAR_CUTOFF_NA = 0.08
 def near_cutoff_smf(wavelength_nm: float, ar_coated: bool = True) -> StepIndexFiber:
     """Silica fiber of numerical aperture ``NEAR_CUTOFF_NA`` sized to sit at
     the single-mode cutoff for the wavelength."""
+    if not 0.0 < wavelength_nm < math.inf:
+        raise ValueError("wavelength must be positive and finite")
     a = SINGLE_MODE_CUTOFF_V * (wavelength_nm * 1e-3) / (2.0 * math.pi * NEAR_CUTOFF_NA)
     n2 = math.sqrt(SILICA_INDEX**2 - NEAR_CUTOFF_NA**2)
     return StepIndexFiber(core_radius_um=a, n1=SILICA_INDEX, n2=n2, ar_coated=ar_coated)

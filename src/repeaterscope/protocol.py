@@ -29,10 +29,6 @@ from .states import (
 )
 
 
-class ScheduleError(ValueError):
-    """Raised when a requested schedule exceeds the channel capacity."""
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One chain configuration: medium, link budget, noise, depth, width."""
@@ -109,8 +105,6 @@ def wait_time(level: int, l0_km: float, velocity_kms: float) -> float:
     Level 0 waits one link length for the midpoint herald; level i waits the
     confirmation time across its 2**i-link span.
     """
-    if level < 0:
-        raise ValueError("level must be non-negative")
     return (1 << level) * l0_km / velocity_kms
 
 
@@ -203,12 +197,9 @@ class ChainPlan:
         rows = range(len(self.configs)) if rows is None else rows
         configs = [self.configs[b] for b in rows]
         choices = [self.choices[b] for b in rows]
-        try:
-            batch = run_cascade_batch(
-                [cascade_config(c, self.trace, pi0) for c, (_, pi0) in zip(configs, choices)]
-            )
-        except ValueError as exc:
-            raise ScheduleError(str(exc)) from exc
+        batch = run_cascade_batch(
+            [cascade_config(c, self.trace, pi0) for c, (_, pi0) in zip(configs, choices)]
+        )
         points = []
         for b, (config, (wavelength, _)) in enumerate(zip(configs, choices)):
             end_pairs = float(batch.expected_end_pairs[b])

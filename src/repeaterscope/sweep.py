@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from . import metrics
 from .channel import (
-    DEFAULT_SIGNAL_VELOCITY,
     ConfigurationError,
     LinkBudget,
     MediumProfile,
@@ -51,8 +50,8 @@ class SweepSpec:
             raise ConfigurationError("media axis is empty")
         if not self.total_distance_km:
             raise ConfigurationError("total_distance_km axis is empty")
-        if any(d <= 0 for d in self.total_distance_km):
-            raise ConfigurationError("total distances must be positive")
+        if any(not 0 < d < math.inf for d in self.total_distance_km):
+            raise ConfigurationError("total distances must be positive and finite")
         if not all(isinstance(v, numbers.Integral) for v in (self.m, *self.n_range)):
             raise ConfigurationError("m and the n_range entries must be integers")
         if not isinstance(self.f_th, numbers.Real):
@@ -182,13 +181,6 @@ def optimize_depth(
     )[0]
 
 
-def _media_table(profiles: dict[str, MediumProfile] | None) -> dict[str, MediumProfile]:
-    table = default_media()
-    if profiles:
-        table.update(profiles)
-    return table
-
-
 def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
     (name, dist, conv, eta_hw, t2, eps), (best_n, best_l0, point) = key, best
     return SweepRow(
@@ -225,7 +217,7 @@ def run_sweep(
     their schedule at every depth and are evaluated together.  ``threads``
     is accepted for compatibility and has no effect.
     """
-    table = _media_table(media_profiles)
+    table = {**default_media(), **(media_profiles or {})}
     for name in spec.media:
         if name not in table:
             raise ConfigurationError(f"unknown medium {name!r}")
@@ -269,12 +261,17 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return csv_text(names, ([getattr(row, name) for name in names] for row in rows))
 
 
+def _reject_unknown_keys(raw: dict, cls: type, what: str, keyed_by: str = "") -> None:
+    """Reject keys that name no field of ``cls``; the ``keyed_by`` field comes
+    from the key the entry is filed under, not from the entry."""
+    unknown = set(raw) - {f.name for f in fields(cls) if f.name != keyed_by}
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def spec_from_dict(raw: dict) -> SweepSpec:
     """Build a SweepSpec from parsed JSON, rejecting unknown keys."""
-    known = {f.name for f in fields(SweepSpec)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigurationError(f"unknown sweep config keys: {sorted(unknown)}")
+    _reject_unknown_keys(raw, SweepSpec, "sweep config")
     kwargs = dict(raw)
     try:
         for name in ("media", "total_distance_km", "conv_eff", "eta_hardware",
@@ -287,18 +284,14 @@ def spec_from_dict(raw: dict) -> SweepSpec:
 
 
 def media_from_dict(raw: dict) -> dict[str, MediumProfile]:
-    """Parse optional medium-profile overrides from a config mapping."""
+    """Parse optional medium-profile overrides from a config mapping,
+    rejecting unknown keys."""
     profiles = {}
     for name, entry in raw.items():
+        _reject_unknown_keys(entry, MediumProfile, f"medium profile {name!r}", "name")
+        kwargs = {key: float(v) for key, v in entry.items() if key != "att_length_km"}
         att = {int(k): float(v) for k, v in entry["att_length_km"].items()}
-        profiles[name] = MediumProfile(
-            name=name,
-            att_length_km=att,
-            coupling_mem_fiber=float(entry["coupling_mem_fiber"]),
-            signal_velocity_kms=float(
-                entry.get("signal_velocity_kms", DEFAULT_SIGNAL_VELOCITY)
-            ),
-        )
+        profiles[name] = MediumProfile(name=name, att_length_km=att, **kwargs)
     return profiles
 
 

@@ -56,8 +56,9 @@ def comparison_grid():
 @pytest.fixture(scope="module")
 def telecom_hcf_grid():
     """HCF restricted to 1550 nm on the comparison grid, keyed by point."""
+    hcf = hcf_profile()
     telecom_hcf = dataclasses.replace(
-        hcf_profile(), allowed_wavelengths=frozenset({TELECOM_NM})
+        hcf, att_length_km={TELECOM_NM: hcf.att_length_km[TELECOM_NM]}
     )
     spec = dataclasses.replace(figure_preset("fig5"), media=("HCF",))
     rows = run_sweep(spec, media_profiles={"HCF": telecom_hcf})

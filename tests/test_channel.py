@@ -11,7 +11,6 @@ from repeaterscope.channel import (
     ConfigurationError,
     LinkBudget,
     MediumProfile,
-    UnsupportedWavelengthError,
     conversion_threshold,
     default_media,
     elementary_success,
@@ -36,7 +35,7 @@ class TestProfiles:
         assert HCF.att_length_km[TELECOM_NM] == 78.96
 
     def test_smf_disallows_memory_wavelength(self):
-        assert MEMORY_NM not in SMF.allowed_wavelengths
+        assert MEMORY_NM not in SMF.att_length_km
         with pytest.raises(ConfigurationError):
             MediumProfile(
                 name="SMF",
@@ -69,7 +68,7 @@ class TestEtaC:
         assert eta_c(HCF, budget(conv=0.5), MEMORY_NM) == pytest.approx(0.79)
 
     def test_disallowed_wavelength(self):
-        with pytest.raises(UnsupportedWavelengthError):
+        with pytest.raises(ConfigurationError, match="not allowed on SMF"):
             eta_c(SMF, budget(), MEMORY_NM)
 
 

@@ -1,34 +1,50 @@
-"""Every error class maps to one exit code of ``cli.main``: configuration
-errors exit 2, numeric failures (a broken invariant, a solver or quadrature
-that does not converge) exit 3."""
+"""Every error class maps to one exit code of ``cli.main``: a ``ValueError``
+(bad input) exits 2, an ``ArithmeticError`` (a broken invariant, a solver or
+quadrature that does not converge) exits 3."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repeaterscope
 from repeaterscope import cascade, cli, protocol
-from repeaterscope.cascade import InvariantError
-from repeaterscope.channel import ConfigurationError, UnsupportedWavelengthError
-from repeaterscope.coupling import QuadratureError, SolverError
-from repeaterscope.protocol import ScheduleError
-from repeaterscope.states import DegenerateInputError
+
+EXIT_BY_BASE = {ValueError: 2, ArithmeticError: 3}
 
 
-@pytest.mark.parametrize(
-    "error,code",
-    [
-        (ConfigurationError, 2),
-        (UnsupportedWavelengthError, 2),
-        (ScheduleError, 2),
-        (DegenerateInputError, 2),
-        (InvariantError, 3),
-        (SolverError, 3),
-        (QuadratureError, 3),
-    ],
-)
-def test_error_class_exit_code(monkeypatch, error, code):
+def _error_classes() -> list[type]:
+    """Every exception class defined in a repeaterscope module."""
+    found = []
+    for info in pkgutil.iter_modules(repeaterscope.__path__):
+        module = importlib.import_module(f"repeaterscope.{info.name}")
+        found += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__
+        ]
+    return found
+
+
+def _exit_code(error: type) -> int | None:
+    """The exit code of the one base of ``error`` among ValueError and
+    ArithmeticError; None unless there is exactly one."""
+    codes = [code for base, code in EXIT_BY_BASE.items() if issubclass(error, base)]
+    return codes[0] if len(codes) == 1 else None
+
+
+ERRORS = _error_classes()
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=[f"{e.__name__}-{_exit_code(e)}" for e in ERRORS])
+def test_error_class_exit_code(monkeypatch, error):
+    code = _exit_code(error)
+    assert code is not None, f"{error.__name__} must derive from one of ValueError, ArithmeticError"
+
     def fail(args):
         raise error("injected")
 
@@ -70,27 +86,89 @@ def test_schedule_error_from_the_recursion_exits_2(monkeypatch):
     assert cli.main(["chain", "--n", "1", "--m", "8"]) == 2
 
 
+BASE_CONFIG = {"media": ["HCF"], "total_distance_km": [80.0], "m": 16}
+
+
+def _sweep(**override) -> dict:
+    return {**BASE_CONFIG, **override}
+
+
+def _profile(**entry) -> dict:
+    """A sweep over one custom medium ``X``, whose profile ``entry`` amends."""
+    profile = {"att_length_km": {"1550": 30.0}, "coupling_mem_fiber": 0.5, **entry}
+    return _sweep(media=["X"], media_profiles={"X": profile})
+
+
+def _sweep_argv(config, tmp_path) -> list[str]:
+    """``sweep`` over ``config`` written as JSON; ``None`` leaves the file missing."""
+    path = tmp_path / "spec.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    return ["sweep", "--config", str(path), "--out", str(tmp_path / "rows.csv")]
+
+
 @pytest.mark.parametrize(
-    "override",
+    "config",
     [
-        {"media_profiles": {"X": {"coupling_mem_fiber": 0.5}}},
-        {"total_distance_km": 100},
-        {"media_profiles": {"X": {"att_length_km": {"1550": 30.0}, "coupling_mem_fiber": [1]}}},
-        {"media_profiles": [1]},
-        {"m": "16"},
-        {"f_th": "0.9"},
-        {"n_range": [0.5]},
-    ],
-    ids=[
-        "profile-without-attenuation", "scalar-axis", "list-coupling", "profiles-not-a-mapping",
-        "string-width", "string-threshold", "fractional-depth",
+        pytest.param(_sweep(media_profiles={"X": {"coupling_mem_fiber": 0.5}}),
+                     id="profile-without-attenuation"),
+        pytest.param(_sweep(total_distance_km=100), id="scalar-axis"),
+        pytest.param(_profile(coupling_mem_fiber=[1]), id="list-coupling"),
+        pytest.param(_sweep(media_profiles=[1]), id="profiles-not-a-mapping"),
+        pytest.param(_sweep(m="16"), id="string-width"),
+        pytest.param(_sweep(f_th="0.9"), id="string-threshold"),
+        pytest.param(_sweep(n_range=[0.5]), id="fractional-depth"),
+        pytest.param(_profile(signal_velocity=1.0), id="misspelled-profile-key"),
+        pytest.param(_sweep(media=[]), id="empty-media"),
+        pytest.param(_sweep(total_distance_km=[]), id="empty-distances"),
+        pytest.param(_sweep(total_distance_km=[0]), id="zero-distance"),
+        pytest.param(_sweep(n_range=[13]), id="depth-above-12"),
+        pytest.param(_sweep(eps_g=[]), id="empty-gate-error"),
+        pytest.param(_profile(att_length_km={"1550": 0}), id="zero-attenuation"),
+        pytest.param(_profile(coupling_mem_fiber=1.5), id="coupling-above-1"),
+        pytest.param(_profile(signal_velocity_kms=0), id="zero-velocity"),
+        pytest.param([BASE_CONFIG], id="array-config"),
+        pytest.param(None, id="missing-config"),
     ],
 )
-def test_malformed_sweep_config_exits_2(override, tmp_path, capsys):
-    config = tmp_path / "spec.json"
-    config.write_text(json.dumps({"media": ["HCF"], "total_distance_km": [80.0], "m": 16, **override}))
-    assert cli.main(["sweep", "--config", str(config)]) == 2
+def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
+    assert cli.main(_sweep_argv(config, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case,named",
+    [
+        pytest.param(["link", "--l0", "nan"], "spacing", id="link-l0-nan"),
+        pytest.param(["link", "--l0", "inf"], "spacing", id="link-l0-inf"),
+        pytest.param(["chain", "--l0", "inf"], "spacing", id="chain-l0-inf"),
+        pytest.param(["couple", "--wavelength", "nan"], "wavelength", id="couple-wavelength-nan"),
+        pytest.param(["couple", "--wavelength", "inf"], "wavelength", id="couple-wavelength-inf"),
+        pytest.param(["couple", "--theta-max", "nan"], "theta", id="couple-theta-nan"),
+        pytest.param(_sweep(total_distance_km=[math.nan]), "total distances",
+                     id="sweep-distance-nan"),
+        pytest.param(_sweep(total_distance_km=[math.inf]), "total distances",
+                     id="sweep-distance-inf"),
+        pytest.param(_profile(att_length_km={"1550": math.nan}), "attenuation lengths",
+                     id="profile-attenuation-nan"),
+        pytest.param(_profile(att_length_km={"1550": math.inf}), "attenuation lengths",
+                     id="profile-attenuation-inf"),
+        pytest.param(_profile(signal_velocity_kms=math.inf), "signal velocity",
+                     id="profile-velocity-inf"),
+    ],
+)
+def test_non_finite_input_exits_2(case, named, tmp_path, capsys):
+    argv = case if isinstance(case, list) else _sweep_argv(case, tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert named in err
+
+
+def test_output_to_a_missing_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["link", "--out", str(tmp_path / "missing" / "link.json")]) == 2
+    assert capsys.readouterr().err.startswith("i/o error:")
 
 
 def test_couple_without_points_exits_2(capsys):
