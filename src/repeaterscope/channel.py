@@ -11,10 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coupling import HCF_COUPLING_AT_TOL, SMF_COUPLING_AT_TOL
-
 MEMORY_NM = 780
 TELECOM_NM = 1550
+
+# adopted memory-to-fiber facet couplings.  Hollow-core (double-nested
+# anti-resonant) designs need a vector mode solve, so they enter as tabulated
+# constants: peak 0.98, and 0.79 at the 0.025 rad design tilt tolerance.  The
+# silica value is the one the near-cutoff preset's tilted overlap derives at
+# the same tolerance (``repeaterscope couple``).
+HCF_PEAK_COUPLING = 0.98
+HCF_COUPLING_AT_TOL = 0.79
+SMF_COUPLING_AT_TOL = 0.83
 
 # default signal velocity in km/s, shared by both media for comparability;
 # override per profile for medium-specific studies
@@ -141,8 +148,6 @@ def conversion_threshold(medium: MediumProfile, l0_km: float) -> float:
     Below the returned value the memory-native wavelength wins.  NaN on a
     medium that lacks 780 or 1550 nm, where there is no choice to make.
     """
-    if l0_km < 0.0:
-        raise ConfigurationError("spacing must be non-negative")
     if not {MEMORY_NM, TELECOM_NM} <= medium.att_length_km.keys():
         return math.nan
     inv_diff = 1.0 / medium.att_length_km[MEMORY_NM] - 1.0 / medium.att_length_km[

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import coupling, metrics, sweep
+from . import metrics, sweep
 from .channel import (
     ConfigurationError,
     LinkBudget,
@@ -78,6 +78,9 @@ def _cmd_link(args: argparse.Namespace) -> None:
 
 
 def _cmd_couple(args: argparse.Namespace) -> None:
+    # only this command loads the mode solver
+    from . import coupling
+
     if args.points < 1:
         raise ConfigurationError("--points must be at least 1")
     fiber = coupling.near_cutoff_smf(args.wavelength)

@@ -7,8 +7,7 @@ tilt of the beam adds a J0 phase-averaging kernel; an uncoated facet pays
 the Fresnel transmission of the air-glass step.
 
 Hollow-core (double-nested anti-resonant) designs need a full vector mode
-solve, so they enter as tabulated facet constants instead: peak coupling
-0.98, and 0.79 at the 0.025 rad design tilt tolerance.
+solve, so they enter as the tabulated facet constants of ``channel``.
 """
 
 from __future__ import annotations
@@ -21,18 +20,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0, j1, k0, k1
 
+from .channel import HCF_COUPLING_AT_TOL, HCF_PEAK_COUPLING
+
 SINGLE_MODE_CUTOFF_V = 2.404825557695773  # first zero of J0
 MULTIMODE_WARN_V = 2.405
 
 SILICA_INDEX = 1.45
-
-# facet constants adopted for the hollow-core design (vector solve external)
-HCF_PEAK_COUPLING = 0.98
-HCF_TILT_TOL_RAD = 0.025
-HCF_COUPLING_AT_TOL = 0.79
-# adopted silica facet coupling at the same tolerance; the near-cutoff preset's
-# tilted overlap derives it (acceptance criterion 4)
-SMF_COUPLING_AT_TOL = 0.83
 
 
 class SolverError(ArithmeticError):

@@ -28,6 +28,11 @@ from .states import (
     swap,
 )
 
+# deepest nesting the model is evaluated at: 2**12 links.  Each swap level
+# doubles the rounding in the schedule's Bell coefficient sum, so far deeper
+# chains (n = 19 at eps_g 0.1) fail the states' sum check.
+MAX_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -41,8 +46,8 @@ class ProtocolConfig:
     f_th: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("nesting depth must be non-negative")
+        if not 0 <= self.n <= MAX_DEPTH:
+            raise ValueError(f"nesting depth must lie in [0, {MAX_DEPTH}], got {self.n}")
         if self.m < 1:
             raise ValueError("multiplexing width must be at least 1")
         if not 0.0 <= self.f_th <= 1.0:

@@ -28,11 +28,18 @@ from .protocol import PerformancePoint, ProtocolConfig, plan_chains
 from .states import NoiseParams
 
 DEFAULT_N_RANGE = tuple(range(0, 11))
+_NUMERIC_AXES = ("total_distance_km", "conv_eff", "eta_hardware", "t2_s", "eps_g")
+
+
+def _is_a(value, kind: type) -> bool:
+    """``isinstance``, except that a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes and fixed parameters of one sweep."""
+    """Axes and fixed parameters of one sweep.  An axis may be given as a
+    list; it is kept as a sorted tuple of its distinct values."""
 
     media: tuple[str, ...] = ("HCF", "SMF")
     total_distance_km: tuple[float, ...] = ()
@@ -46,23 +53,27 @@ class SweepSpec:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.media:
-            raise ConfigurationError("media axis is empty")
-        if not self.total_distance_km:
-            raise ConfigurationError("total_distance_km axis is empty")
-        if any(not 0 < d < math.inf for d in self.total_distance_km):
-            raise ConfigurationError("total distances must be positive and finite")
-        if not all(isinstance(v, numbers.Integral) for v in (self.m, *self.n_range)):
-            raise ConfigurationError("m and the n_range entries must be integers")
-        if not isinstance(self.f_th, numbers.Real):
-            raise ConfigurationError("f_th must be a number")
-        if not self.n_range or any(n < 0 or n > 12 for n in self.n_range):
-            raise ConfigurationError("n_range entries must lie in [0, 12]")
-        for name in ("conv_eff", "eta_hardware", "t2_s", "eps_g"):
+        # the one check of the config's types (a bool is no number, a string
+        # only a name); ranges other than the distances' belong to the types
+        # that own the values
+        for name in ("media", "n_range", *_NUMERIC_AXES):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigurationError(f"{name} must be a list")
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} axis is empty")
+        if not all(isinstance(name, str) for name in self.media):
+            raise ConfigurationError("media entries must be names")
+        if not all(_is_a(v, numbers.Integral) for v in (self.m, *self.n_range)):
+            raise ConfigurationError("m and the n_range entries must be integers")
+        numeric = [self.f_th, *(v for name in _NUMERIC_AXES for v in getattr(self, name))]
+        if not all(_is_a(v, numbers.Real) for v in numeric):
+            raise ConfigurationError("f_th and the numeric axis entries must be numbers")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigurationError("output_path must be a file name")
+        if any(not 0 < d < math.inf for d in self.total_distance_km):
+            raise ConfigurationError("total distances must be positive and finite")
         object.__setattr__(self, "media", tuple(sorted(set(self.media))))
-        for name in ("total_distance_km", "conv_eff", "eta_hardware", "t2_s", "eps_g"):
+        for name in _NUMERIC_AXES:
             vals = tuple(sorted(set(float(v) for v in getattr(self, name))))
             object.__setattr__(self, name, vals)
         object.__setattr__(self, "n_range", tuple(sorted(set(self.n_range))))
@@ -124,12 +135,11 @@ def _best_depths(
     lets win, and depths are scanned from the largest bound down, so the
     result equals the full scan's while most depths are never evaluated.
     """
-    if not n_range:
-        raise ConfigurationError("n_range is empty")
     noise = NoiseParams(eps_g, t2=t2_s)
     scan = []
     for n in n_range:
-        l0 = total_distance_km / (1 << n)
+        # total / 2**n exactly, and a negative n reaches ProtocolConfig's check
+        l0 = math.ldexp(total_distance_km, -n)
         plan = plan_chains([
             ProtocolConfig(
                 medium=medium,
@@ -162,23 +172,6 @@ def _best_depths(
             ):
                 best[i] = (n, l0, point)
     return best
-
-
-def optimize_depth(
-    total_distance_km: float,
-    medium: MediumProfile,
-    conv_eff: float,
-    eta_hardware: float,
-    t2_s: float,
-    eps_g: float,
-    f_th: float = 0.95,
-    m: int = 1024,
-    n_range: tuple[int, ...] = DEFAULT_N_RANGE,
-) -> tuple[int, float, PerformancePoint]:
-    """Scan nesting depths and keep the SKR argmax; ties keep the smaller n."""
-    return _best_depths(
-        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
-    )[0]
 
 
 def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
@@ -270,17 +263,10 @@ def _reject_unknown_keys(raw: dict, cls: type, what: str, keyed_by: str = "") ->
 
 
 def spec_from_dict(raw: dict) -> SweepSpec:
-    """Build a SweepSpec from parsed JSON, rejecting unknown keys."""
+    """Build a SweepSpec from parsed JSON, rejecting unknown keys; the spec
+    checks the types of the values."""
     _reject_unknown_keys(raw, SweepSpec, "sweep config")
-    kwargs = dict(raw)
-    try:
-        for name in ("media", "total_distance_km", "conv_eff", "eta_hardware",
-                     "t2_s", "eps_g", "n_range"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return SweepSpec(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return SweepSpec(**raw)
 
 
 def media_from_dict(raw: dict) -> dict[str, MediumProfile]:

@@ -123,6 +123,10 @@ def _sweep_argv(config, tmp_path) -> list[str]:
         pytest.param(_sweep(total_distance_km=[]), id="empty-distances"),
         pytest.param(_sweep(total_distance_km=[0]), id="zero-distance"),
         pytest.param(_sweep(n_range=[13]), id="depth-above-12"),
+        pytest.param(_sweep(n_range=[-1]), id="negative-depth"),
+        pytest.param(_sweep(m=True, f_th=True, n_range=[False, True]), id="boolean-numbers"),
+        pytest.param(_sweep(conv_eff=["0.5"]), id="string-axis-entry"),
+        pytest.param(_sweep(output_path=["rows.csv"]), id="list-output-path"),
         pytest.param(_sweep(eps_g=[]), id="empty-gate-error"),
         pytest.param(_profile(att_length_km={"1550": 0}), id="zero-attenuation"),
         pytest.param(_profile(coupling_mem_fiber=1.5), id="coupling-above-1"),
@@ -156,6 +160,11 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
                      id="profile-attenuation-inf"),
         pytest.param(_profile(signal_velocity_kms=math.inf), "signal velocity",
                      id="profile-velocity-inf"),
+        # out-of-range and mistyped values exit 2 the same way, naming the value
+        pytest.param(_sweep(media="SMF"), "media", id="string-media-axis"),
+        pytest.param(["chain", "--n", "13"], "nesting depth", id="chain-depth-13"),
+        pytest.param(["chain", "--n", "19", "--eps-g", "0.1", "--t2", "inf", "--m", "16"],
+                     "nesting depth", id="chain-depth-19"),
     ],
 )
 def test_non_finite_input_exits_2(case, named, tmp_path, capsys):

@@ -49,6 +49,12 @@ class TestBellDiagonal:
         with pytest.raises(ValueError):
             NoiseParams(0.01, t2=0.0)
 
+    def test_noise_params_rejects_eps_g_past_zero_link_fidelity(self):
+        # at eps_g = 0.8 the heralded link's fidelity 1 - 1.25 eps_g is 0
+        assert initial_state(NoiseParams(0.8).eps_g).fidelity() == 0.0
+        with pytest.raises(ValueError, match="eps_g"):
+            NoiseParams(0.81)
+
 
 class TestInitialState:
     def test_noiseless_identity(self):

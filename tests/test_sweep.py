@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repeaterscope import protocol, sweep
+from repeaterscope import cli, protocol, sweep
 from repeaterscope.cascade import InvariantError
 from repeaterscope.channel import (
     DEFAULT_SIGNAL_VELOCITY,
@@ -24,7 +24,6 @@ from repeaterscope.sweep import (
     SweepSpec,
     figure_preset,
     load_config,
-    optimize_depth,
     rows_to_csv,
     run_sweep,
     spec_from_dict,
@@ -42,6 +41,16 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def optimize_depth(
+    total_distance_km, medium, conv_eff, eta_hardware, t2_s, eps_g,
+    f_th=0.95, m=1024, n_range=sweep.DEFAULT_N_RANGE,
+):
+    """``(best_n, best_l0, point)`` of one grid point, as the sweep finds it."""
+    return sweep._best_depths(
+        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
+    )[0]
 
 
 class TestOptimizeDepth:
@@ -386,39 +395,43 @@ class TestPrunedDepthScan:
 
 
 class TestCli:
-    def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repeaterscope.cli", *args],
-            capture_output=True,
-            text=True,
-        )
+    """``cli.main`` in-process; one test runs ``python -m repeaterscope.cli``
+    to cover the exit status of the module entry point."""
 
-    def test_link_json(self):
-        proc = self.run_cli("link", "--medium", "HCF", "--l0", "20")
-        assert proc.returncode == 0
-        payload = json.loads(proc.stdout)
+    def run_cli(self, capsys, *args) -> tuple[int, str]:
+        code = cli.main(list(args))
+        return code, capsys.readouterr().out
+
+    def test_link_json(self, capsys):
+        code, out = self.run_cli(capsys, "link", "--medium", "HCF", "--l0", "20")
+        assert code == 0
+        payload = json.loads(out)
         assert payload["wavelength_nm"] == 780
 
-    def test_chain_json(self):
-        proc = self.run_cli(
-            "chain", "--medium", "SMF", "--l0", "25", "--n", "1", "--m", "8"
+    def test_chain_json(self, capsys):
+        code, out = self.run_cli(
+            capsys, "chain", "--medium", "SMF", "--l0", "25", "--n", "1", "--m", "8"
         )
-        assert proc.returncode == 0
-        payload = json.loads(proc.stdout)
+        assert code == 0
+        payload = json.loads(out)
         assert payload["wavelength_used_nm"] == 1550
         assert payload["skr_pcu"] > 0
 
     def test_unknown_medium_exits_2(self):
-        proc = self.run_cli("link", "--medium", "COAX")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repeaterscope.cli", "link", "--medium", "COAX"],
+            capture_output=True,
+            text=True,
+        )
         assert proc.returncode == 2
 
-    def test_bad_config_exits_2(self, tmp_path):
+    def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        proc = self.run_cli("sweep", "--config", str(bad))
-        assert proc.returncode == 2
+        code, _ = self.run_cli(capsys, "sweep", "--config", str(bad))
+        assert code == 2
 
-    def test_sweep_csv_roundtrip(self, tmp_path):
+    def test_sweep_csv_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
         config.write_text(
             json.dumps(
@@ -433,13 +446,13 @@ class TestCli:
             )
         )
         out = tmp_path / "rows.csv"
-        proc = self.run_cli("sweep", "--config", str(config), "--out", str(out))
-        assert proc.returncode == 0
+        code, _ = self.run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+        assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("medium,")
         assert len(lines) == 2
 
-    def test_sweep_writes_to_the_config_output_path(self, tmp_path):
+    def test_sweep_writes_to_the_config_output_path(self, tmp_path, capsys):
         raw = {
             "media": ["HCF", "SMF"],
             "total_distance_km": [80.0, 160.0],
@@ -451,17 +464,17 @@ class TestCli:
         config = tmp_path / "spec.json"
         config.write_text(json.dumps(raw))
         via_out = tmp_path / "out.csv"
-        assert self.run_cli("sweep", "--config", str(config), "--out", str(via_out)).returncode == 0
+        assert self.run_cli(capsys, "sweep", "--config", str(config), "--out", str(via_out))[0] == 0
         via_config = tmp_path / "config.csv"
         config.write_text(json.dumps({**raw, "output_path": str(via_config)}))
-        proc = self.run_cli("sweep", "--config", str(config))
-        assert proc.returncode == 0
-        assert proc.stdout == ""
+        code, out = self.run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 0
+        assert out == ""
         assert via_config.read_bytes() == via_out.read_bytes()
 
-    def test_couple_csv(self):
-        proc = self.run_cli("couple", "--points", "3", "--theta-max", "0.03")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_couple_csv(self, capsys):
+        code, out = self.run_cli(capsys, "couple", "--points", "3", "--theta-max", "0.03")
+        assert code == 0
+        lines = out.splitlines()
         assert lines[0] == "theta_rad,eta_smf_1550,eta_constants_hcf"
         assert len(lines) == 4
