@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--m", type=int, default=1024)
     chain.add_argument("--eps-g", type=float, default=1e-3, dest="eps_g")
     chain.add_argument("--t2", type=float, default=1.0)
-    chain.add_argument("--f-th", type=float, default=0.95, dest="f_th")
+    chain.add_argument("--f-th", type=float, default=ProtocolConfig.f_th, dest="f_th")
     chain.add_argument("--trace", action="store_true", help="include per-level trace")
     chain.add_argument("--oracle", action="store_true",
                        help="attach Monte-Carlo validation numbers")

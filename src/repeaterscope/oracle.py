@@ -1,4 +1,4 @@
-"""Slow reference implementations backing the test suite.
+"""Slow reference implementations that check the closed forms and the recursion.
 
 Two independent cross-checks live here:
 
@@ -7,9 +7,8 @@ Two independent cross-checks live here:
   postselection, used as ground truth for the closed forms in ``states``;
 * a vectorized Monte-Carlo burst sampler that replays the multiplexed
   generation / distillation / pairing process trial by trial, used as ground
-  truth for the recursion in ``cascade``.
-
-Neither is used in the production path.
+  truth for the recursion in ``cascade``; ``repeaterscope chain --oracle``
+  attaches its numbers to a chain.
 """
 
 from __future__ import annotations
@@ -143,17 +142,6 @@ def dm_dephase(state: BellDiagonal, t: float, t2: float) -> BellDiagonal:
     zq = _kron(_Z, _I2)
     rho = (1.0 - flip) * rho + flip * zq @ rho @ zq
     return _bell_coefficients(rho)
-
-
-def dm_two_pair(
-    which: str, s1: BellDiagonal, s2: BellDiagonal
-) -> tuple[BellDiagonal, float]:
-    """Dispatch helper: ``which`` is 'swap' or 'dejmps' (ideal maps only)."""
-    if which == "swap":
-        return dm_swap(s1, s2)
-    if which == "dejmps":
-        return dm_dejmps(s1, s2)
-    raise ValueError(f"unknown map {which!r}")
 
 
 # ---------------------------------------------------------------------------

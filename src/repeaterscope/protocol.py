@@ -34,6 +34,12 @@ from .states import (
 MAX_DEPTH = 12
 
 
+def check_depth(n: int) -> None:
+    """Reject a nesting depth outside ``[0, MAX_DEPTH]``."""
+    if not 0 <= n <= MAX_DEPTH:
+        raise ValueError(f"nesting depth must lie in [0, {MAX_DEPTH}], got {n}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One chain configuration: medium, link budget, noise, depth, width."""
@@ -46,8 +52,7 @@ class ProtocolConfig:
     f_th: float = 0.95
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_DEPTH:
-            raise ValueError(f"nesting depth must lie in [0, {MAX_DEPTH}], got {self.n}")
+        check_depth(self.n)
         if self.m < 1:
             raise ValueError("multiplexing width must be at least 1")
         if not 0.0 <= self.f_th <= 1.0:

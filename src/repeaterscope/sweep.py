@@ -24,7 +24,7 @@ from .channel import (
     default_media,
 )
 from .cascade import InvariantError
-from .protocol import PerformancePoint, ProtocolConfig, plan_chains
+from .protocol import PerformancePoint, ProtocolConfig, check_depth, plan_chains
 from .states import NoiseParams
 
 DEFAULT_N_RANGE = tuple(range(0, 11))
@@ -47,15 +47,16 @@ class SweepSpec:
     eta_hardware: tuple[float, ...] = (1.0,)
     t2_s: tuple[float, ...] = (1.0,)
     eps_g: tuple[float, ...] = (1e-3,)
-    f_th: float = 0.95
+    f_th: float = ProtocolConfig.f_th
     m: int = 1024
     n_range: tuple[int, ...] = DEFAULT_N_RANGE
     output_path: str | None = None
 
     def __post_init__(self) -> None:
         # the one check of the config's types (a bool is no number, a string
-        # only a name); ranges other than the distances' belong to the types
-        # that own the values
+        # only a name); the other ranges belong to the types that own the
+        # values, and the depths meet protocol's range here, before a spacing
+        # is formed from them
         for name in ("media", "n_range", *_NUMERIC_AXES):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigurationError(f"{name} must be a list")
@@ -65,6 +66,8 @@ class SweepSpec:
             raise ConfigurationError("media entries must be names")
         if not all(_is_a(v, numbers.Integral) for v in (self.m, *self.n_range)):
             raise ConfigurationError("m and the n_range entries must be integers")
+        for n in self.n_range:
+            check_depth(n)
         numeric = [self.f_th, *(v for name in _NUMERIC_AXES for v in getattr(self, name))]
         if not all(_is_a(v, numbers.Real) for v in numeric):
             raise ConfigurationError("f_th and the numeric axis entries must be numbers")
@@ -107,14 +110,11 @@ class SweepRow:
 _BOUND_SLACK = 1.0 + 1e-12
 
 
-def _can_win(bound: float, n: int, best: tuple[int, float, PerformancePoint] | None) -> bool:
-    """Whether a depth whose SKR is at most ``bound`` can replace ``best``:
-    exceed it, or tie it at a smaller n.  A NaN bound can (and then fails
-    the NaN check)."""
-    if best is None:
-        return True
-    bound, best_skr = bound * _BOUND_SLACK, best[2].skr_pcu
-    return not (bound < best_skr or (bound == best_skr and n > best[0]))
+def _wins(skr: float, n: int, held: PerformancePoint | None) -> bool:
+    """Whether an SKR of ``skr`` at depth ``n`` replaces ``held``: it is
+    larger, or equal at a smaller n.  A NaN wins (and then fails the NaN
+    check)."""
+    return held is None or not (skr < held.skr_pcu or (skr == held.skr_pcu and n > held.n))
 
 
 def _best_depths(
@@ -125,7 +125,7 @@ def _best_depths(
     f_th: float,
     m: int,
     n_range: tuple[int, ...],
-) -> list[tuple[int, float, PerformancePoint]]:
+) -> list[PerformancePoint]:
     """The SKR argmax over depth for each ``(medium, conv_eff, eta_hardware)``
     point; ties keep the smaller n.
 
@@ -138,7 +138,7 @@ def _best_depths(
     noise = NoiseParams(eps_g, t2=t2_s)
     scan = []
     for n in n_range:
-        # total / 2**n exactly, and a negative n reaches ProtocolConfig's check
+        # total / 2**n exactly
         l0 = math.ldexp(total_distance_km, -n)
         plan = plan_chains([
             ProtocolConfig(
@@ -154,28 +154,25 @@ def _best_depths(
         bounds = plan.skr_bounds()
         # a NaN bound sorts first, so that its depth is evaluated and rejected
         top = max(math.inf if math.isnan(b) else b for b in bounds)
-        scan.append((-top, n, l0, plan, bounds))
+        scan.append((-top, n, plan, bounds))
     scan.sort(key=lambda entry: entry[:2])
-    best: list[tuple[int, float, PerformancePoint] | None] = [None] * len(points)
-    for _, n, l0, plan, bounds in scan:
-        live = [i for i, bound in enumerate(bounds) if _can_win(bound, n, best[i])]
+    best: list[PerformancePoint | None] = [None] * len(points)
+    for _, n, plan, bounds in scan:
+        live = [i for i, bound in enumerate(bounds) if _wins(bound * _BOUND_SLACK, n, best[i])]
         if not live:
             continue
         for i, point in zip(live, plan.evaluate(live)):
             if math.isnan(point.skr_pcu):
                 raise InvariantError(f"skr_pcu is NaN at n={n}")
-            held = best[i]
-            if (
-                held is None
-                or point.skr_pcu > held[2].skr_pcu
-                or (point.skr_pcu == held[2].skr_pcu and n < held[0])
-            ):
-                best[i] = (n, l0, point)
+            if _wins(point.skr_pcu, n, best[i]):
+                best[i] = point
     return best
 
 
-def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
-    (name, dist, conv, eta_hw, t2, eps), (best_n, best_l0, point) = key, best
+def _sweep_row(
+    spec: SweepSpec, medium: MediumProfile, key, point: PerformancePoint
+) -> SweepRow:
+    name, dist, conv, eta_hw, t2, eps = key
     return SweepRow(
         medium=name,
         total_distance_km=dist,
@@ -186,15 +183,15 @@ def _sweep_row(spec: SweepSpec, medium: MediumProfile, key, best) -> SweepRow:
         f_th=spec.f_th,
         m=spec.m,
         wavelength_used_nm=point.wavelength_used_nm,
-        best_n=best_n,
-        best_l0_km=best_l0,
+        best_n=point.n,
+        best_l0_km=point.l0_km,
         skr_pcu=point.skr_pcu,
         completion_prob=point.completion_prob,
         ops_per_secret_bit=metrics.ops_per_secret_bit(point),
         gate_ops_per_burst=point.ops.two_qubit_gates,
         measurement_ops_per_burst=point.ops.measurements,
         mass_defect=point.mass_defect,
-        conv_eff_threshold=conversion_threshold(medium, best_l0),
+        conv_eff_threshold=conversion_threshold(medium, point.l0_km),
     )
 
 

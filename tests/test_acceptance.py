@@ -25,7 +25,7 @@ from repeaterscope.channel import (
     select_wavelength,
     smf_profile,
 )
-from repeaterscope.oracle import MonteCarloConfig, dm_two_pair, mc_cascade
+from repeaterscope.oracle import MonteCarloConfig, dm_dejmps, dm_swap, mc_cascade
 from repeaterscope.states import (
     BellDiagonal,
     NoiseParams,
@@ -149,7 +149,7 @@ def test_criterion_6_closed_forms_vs_density_matrix():
         s1 = BellDiagonal(*(v1 / v1.sum()))
         s2 = BellDiagonal(*(v2 / v2.sum()))
         swap_closed = swap(s1, s2, noiseless)
-        swap_dense, _ = dm_two_pair("swap", s1, s2)
+        swap_dense, _ = dm_swap(s1, s2)
         worst = max(
             worst,
             max(
@@ -158,7 +158,7 @@ def test_criterion_6_closed_forms_vs_density_matrix():
             ),
         )
         dej_closed, p_closed = dejmps(s1, s2, noiseless)
-        dej_dense, p_dense = dm_two_pair("dejmps", s1, s2)
+        dej_dense, p_dense = dm_dejmps(s1, s2)
         worst = max(
             worst,
             abs(p_closed - p_dense),

@@ -165,6 +165,10 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
         pytest.param(["chain", "--n", "13"], "nesting depth", id="chain-depth-13"),
         pytest.param(["chain", "--n", "19", "--eps-g", "0.1", "--t2", "inf", "--m", "16"],
                      "nesting depth", id="chain-depth-19"),
+        # a sweep's depths are checked before a spacing is formed from them
+        pytest.param(_sweep(n_range=[5000]), "nesting depth", id="sweep-depth-5000"),
+        pytest.param(_sweep(n_range=[-1018]), "nesting depth", id="sweep-depth-minus-1018"),
+        pytest.param(_sweep(n_range=[-5000]), "nesting depth", id="sweep-depth-minus-5000"),
     ],
 )
 def test_non_finite_input_exits_2(case, named, tmp_path, capsys):

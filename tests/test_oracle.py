@@ -1,6 +1,3 @@
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -9,7 +6,6 @@ from repeaterscope.oracle import (
     MonteCarloConfig,
     dm_dejmps,
     dm_swap,
-    dm_two_pair,
     mc_cascade,
 )
 from repeaterscope.states import BellDiagonal, werner
@@ -35,13 +31,10 @@ class TestDensityMatrixOracle:
         assert p == pytest.approx(197 / 225, abs=1e-12)
         assert out.a == pytest.approx(730 / 788, abs=1e-12)
 
-    def test_dispatch(self):
+    def test_swap_of_werner_pairs(self):
+        # two Werner pairs of fidelity F swap to F**2 + (1 - F)**2 / 3
         s = werner(0.95)
-        assert dm_two_pair("swap", s, s)[0].a == pytest.approx(
-            dm_swap(s, s)[0].a
-        )
-        with pytest.raises(ValueError):
-            dm_two_pair("teleport", s, s)
+        assert dm_swap(s, s)[0].a == pytest.approx(0.95**2 + 0.05**2 / 3, abs=1e-12)
 
 
 class TestMonteCarloSampler:
@@ -81,14 +74,3 @@ class TestMonteCarloSampler:
         assert mc.end_histogram[2] == 10_000  # 4 pairs -> 2 distilled -> min 2
         comp, _ = mc.completion_estimate()
         assert comp == 1.0
-
-
-def test_oracle_check_script_runs(capsys):
-    script = pathlib.Path(__file__).parents[1] / "scripts" / "oracle_check.py"
-    spec = importlib.util.spec_from_file_location("oracle_check", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main(["--trials", "2000"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
-    assert all("TV=" in line and "completion" in line for line in lines)

@@ -181,7 +181,7 @@ class TestOracleAgreement:
             s1 = BellDiagonal(*(v1 / v1.sum()))
             s2 = BellDiagonal(*(v2 / v2.sum()))
             closed = swap(s1, s2, NOISELESS)
-            dense, _ = oracle.dm_two_pair("swap", s1, s2)
+            dense, _ = oracle.dm_swap(s1, s2)
             assert_close(closed, dense.as_tuple(), tol=1e-12)
 
     def test_dejmps_matches_oracle_on_random_pairs(self, rng):
@@ -191,7 +191,7 @@ class TestOracleAgreement:
             s1 = BellDiagonal(*(v1 / v1.sum()))
             s2 = BellDiagonal(*(v2 / v2.sum()))
             closed, p = dejmps(s1, s2, NOISELESS)
-            dense, p_dense = oracle.dm_two_pair("dejmps", s1, s2)
+            dense, p_dense = oracle.dm_dejmps(s1, s2)
             assert_close(closed, dense.as_tuple(), tol=1e-12)
             assert p == pytest.approx(p_dense, abs=1e-12)
 

@@ -1,8 +1,6 @@
 import dataclasses
-import importlib.util
 import json
 import math
-import pathlib
 import subprocess
 import sys
 
@@ -48,9 +46,10 @@ def optimize_depth(
     f_th=0.95, m=1024, n_range=sweep.DEFAULT_N_RANGE,
 ):
     """``(best_n, best_l0, point)`` of one grid point, as the sweep finds it."""
-    return sweep._best_depths(
+    point = sweep._best_depths(
         [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
     )[0]
+    return point.n, point.l0_km, point
 
 
 class TestOptimizeDepth:
@@ -278,18 +277,6 @@ class TestFigurePresets:
             assert spec.f_th == 0.95
             assert spec.m == 1024
 
-    def test_figure_script_sweeps_a_shared_grid_once(self, tmp_path, monkeypatch):
-        script = pathlib.Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
-        script_spec = importlib.util.spec_from_file_location("make_figure_data", script)
-        module = importlib.util.module_from_spec(script_spec)
-        script_spec.loader.exec_module(module)
-        swept = []
-        real = sweep.run_sweep
-        monkeypatch.setattr(sweep, "run_sweep", lambda spec, **kw: swept.append(spec) or real(spec, **kw))
-        assert module.main(["--out-dir", str(tmp_path), "--presets", "fig5", "fig7"]) == 0
-        assert swept == [figure_preset("fig5")]
-        assert (tmp_path / "fig7.csv").read_bytes() == (tmp_path / "fig5.csv").read_bytes()
-
     def test_fig3_is_single_link(self):
         assert figure_preset("fig3").n_range == (0,)
 
@@ -334,8 +321,8 @@ def full_scan(spec):
                 for name, _, conv, eta_hw, _, _ in members
             ]
             for key, point in zip(members, plan_chains(configs).evaluate()):
-                if key not in best or point.skr_pcu > best[key][2].skr_pcu:
-                    best[key] = (n, l0, point)
+                if key not in best or point.skr_pcu > best[key].skr_pcu:
+                    best[key] = point
     return [sweep._sweep_row(spec, media[key[0]], key, best[key]) for key in keys]
 
 
@@ -372,15 +359,19 @@ class TestPrunedDepthScan:
         point = optimize_depth(80.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0,))[2]
 
         def held(skr):
-            return (3, 10.0, dataclasses.replace(point, skr_pcu=skr))
+            return dataclasses.replace(point, skr_pcu=skr, n=3, l0_km=10.0)
 
-        assert sweep._can_win(1.0, 4, held(1.0))  # within the rounding slack
-        assert not sweep._can_win(1.0 - 1e-11, 4, held(1.0))
-        assert not sweep._can_win(0.99, 2, held(1.0))
-        assert sweep._can_win(0.0, 2, held(0.0))
-        assert not sweep._can_win(0.0, 4, held(0.0))
-        assert sweep._can_win(math.nan, 4, held(1.0))
-        assert sweep._can_win(0.0, 4, None)
+        def can_win(bound, n, best):
+            # the scan's prune test: the one win rule on the widened bound
+            return sweep._wins(bound * sweep._BOUND_SLACK, n, best)
+
+        assert can_win(1.0, 4, held(1.0))  # within the rounding slack
+        assert not can_win(1.0 - 1e-11, 4, held(1.0))
+        assert not can_win(0.99, 2, held(1.0))
+        assert can_win(0.0, 2, held(0.0))
+        assert not can_win(0.0, 4, held(0.0))
+        assert can_win(math.nan, 4, held(1.0))
+        assert can_win(0.0, 4, None)
 
     def test_zero_rates_keep_the_smallest_depth(self, monkeypatch):
         # every rate is 0; looser bounds that grow with n make the scan start
@@ -471,6 +462,16 @@ class TestCli:
         assert code == 0
         assert out == ""
         assert via_config.read_bytes() == via_out.read_bytes()
+
+    def test_figure_writes_the_preset_rows(self, tmp_path, capsys):
+        fig3 = tmp_path / "fig3.csv"
+        assert self.run_cli(capsys, "figure", "fig3", "--out", str(fig3)) == (0, "")
+        assert fig3.read_bytes() == rows_to_csv(run_sweep(figure_preset("fig3"))).encode()
+        # fig7 is the fig5 grid under another name
+        fig5, fig7 = tmp_path / "fig5.csv", tmp_path / "fig7.csv"
+        assert self.run_cli(capsys, "figure", "fig5", "--out", str(fig5))[0] == 0
+        assert self.run_cli(capsys, "figure", "fig7", "--out", str(fig7))[0] == 0
+        assert fig7.read_bytes() == fig5.read_bytes()
 
     def test_couple_csv(self, capsys):
         code, out = self.run_cli(capsys, "couple", "--points", "3", "--theta-max", "0.03")
