@@ -354,7 +354,9 @@ def end_pairs_bound(m: int, pi0: float) -> float:
 
 def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
     """Run the recursion once for configurations that differ only in ``pi0``;
-    each row is the same, bit for bit, whatever else shares its batch.
+    each row is the same, bit for bit, whatever else shares its batch, a
+    repeat of itself included.  So a caller may reuse a row computed in
+    another batch in place of running it again.
 
     Each level's rows are checked once: finite, non-negative, unit mass.
     """

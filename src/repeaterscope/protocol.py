@@ -109,6 +109,17 @@ class PerformancePoint:
     diagnostic: str | None = None
 
 
+@dataclass(frozen=True)
+class RowOutcome:
+    """What a ``PerformancePoint`` takes from its count-recursion row."""
+
+    expected_end_pairs: float
+    completion_prob: float
+    ops: metrics.OpCounts
+    mass_defect: float
+    certain_reset: str | None
+
+
 def wait_time(level: int, l0_km: float, velocity_kms: float) -> float:
     """Classical-signaling wait at a level, in seconds.
 
@@ -200,34 +211,56 @@ class ChainPlan:
             for c, (_, pi0) in zip(self.configs, self.choices)
         ]
 
-    def evaluate(self, rows: Sequence[int] | None = None) -> list[PerformancePoint]:
-        """Evaluate the chains at ``rows`` (all by default) in one batched
-        count recursion; each point is the same whatever else is evaluated
-        with it."""
+    def evaluate(
+        self,
+        rows: Sequence[int] | None = None,
+        outcomes: dict[tuple, dict[float, RowOutcome]] | None = None,
+    ) -> list[PerformancePoint]:
+        """Evaluate the chains at ``rows`` (all by default); each point is the
+        same whatever else is evaluated with it.
+
+        ``outcomes`` maps a ``CascadeConfig.schedule`` to the outcomes of its
+        count-recursion rows by ``pi0``.  A row found there is not run again;
+        the others run in one batch, each distinct row once, and are added to
+        it.  The reuse is exact: ``run_cascade_batch`` gives a row the same
+        bits whatever else shares its batch.
+        """
         rows = range(len(self.configs)) if rows is None else rows
-        configs = [self.configs[b] for b in rows]
-        choices = [self.choices[b] for b in rows]
-        batch = run_cascade_batch(
-            [cascade_config(c, self.trace, pi0) for c, (_, pi0) in zip(configs, choices)]
-        )
+        head = self.configs[0]
+        # CascadeConfig.schedule of every row, without building a config
+        schedule = (head.n, head.m, self.trace.distill_flags, self.trace.distill_success)
+        known = {} if outcomes is None else outcomes.setdefault(schedule, {})
+        pi0s = [self.choices[b][1] for b in rows]
+        missing = [pi0 for pi0 in dict.fromkeys(pi0s) if pi0 not in known]
+        if missing:
+            batch = run_cascade_batch([cascade_config(head, self.trace, pi0) for pi0 in missing])
+            for j, pi0 in enumerate(missing):
+                known[pi0] = RowOutcome(
+                    expected_end_pairs=float(batch.expected_end_pairs[j]),
+                    completion_prob=float(batch.completion_prob[j]),
+                    ops=metrics.ops_per_burst(batch.swaps[j], batch.distill_attempts[j]),
+                    mass_defect=float(batch.mass_defect[j].max()),
+                    certain_reset=batch.certain_reset[j],
+                )
         points = []
-        for b, (config, (wavelength, _)) in enumerate(zip(configs, choices)):
-            end_pairs = float(batch.expected_end_pairs[b])
-            reason = batch.certain_reset[b]
+        for b, pi0 in zip(rows, pi0s):
+            config, (wavelength, _) = self.configs[b], self.choices[b]
+            outcome = known[pi0]
+            reason = outcome.certain_reset
             # normalize by all channel uses of the burst: M attempts on each
             # of the N elementary links
             channel_uses = config.m * (1 << config.n)
             points.append(PerformancePoint(
-                skr_pcu=end_pairs * self.key / channel_uses,
-                expected_end_pairs=end_pairs,
-                completion_prob=float(batch.completion_prob[b]),
+                skr_pcu=outcome.expected_end_pairs * self.key / channel_uses,
+                expected_end_pairs=outcome.expected_end_pairs,
+                completion_prob=outcome.completion_prob,
                 end_state=self.trace.end_state,
-                ops=metrics.ops_per_burst(batch.swaps[b], batch.distill_attempts[b]),
+                ops=outcome.ops,
                 wavelength_used_nm=wavelength,
                 l0_km=config.budget.l0_km,
                 n=config.n,
                 m=config.m,
-                mass_defect=float(batch.mass_defect[b].max()),
+                mass_defect=outcome.mass_defect,
                 diagnostic=f"certain reset: {reason}" if reason else None,
             ))
         return points

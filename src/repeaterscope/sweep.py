@@ -24,7 +24,7 @@ from .channel import (
     default_media,
 )
 from .cascade import InvariantError
-from .protocol import PerformancePoint, ProtocolConfig, check_depth, plan_chains
+from .protocol import PerformancePoint, ProtocolConfig, RowOutcome, check_depth, plan_chains
 from .states import NoiseParams
 
 DEFAULT_N_RANGE = tuple(range(0, 11))
@@ -125,6 +125,7 @@ def _best_depths(
     f_th: float,
     m: int,
     n_range: tuple[int, ...],
+    outcomes: dict[tuple, dict[float, RowOutcome]],
 ) -> list[PerformancePoint]:
     """The SKR argmax over depth for each ``(medium, conv_eff, eta_hardware)``
     point; ties keep the smaller n.
@@ -134,6 +135,8 @@ def _best_depths(
     is evaluated only for the points its SKR bound (``ChainPlan.skr_bounds``)
     lets win, and depths are scanned from the largest bound down, so the
     result equals the full scan's while most depths are never evaluated.
+    ``outcomes`` holds the count-recursion rows already run, as
+    ``ChainPlan.evaluate`` keeps them.
     """
     noise = NoiseParams(eps_g, t2=t2_s)
     scan = []
@@ -161,7 +164,7 @@ def _best_depths(
         live = [i for i, bound in enumerate(bounds) if _wins(bound * _BOUND_SLACK, n, best[i])]
         if not live:
             continue
-        for i, point in zip(live, plan.evaluate(live)):
+        for i, point in zip(live, plan.evaluate(live, outcomes)):
             if math.isnan(point.skr_pcu):
                 raise InvariantError(f"skr_pcu is NaN at n={n}")
             if _wins(point.skr_pcu, n, best[i]):
@@ -204,8 +207,9 @@ def run_sweep(
     ``repeaterscope sweep`` writes the rows there.
 
     Points that share signal velocity, distance, T2 and gate error share
-    their schedule at every depth and are evaluated together.  ``threads``
-    is accepted for compatibility and has no effect.
+    their schedule at every depth and are evaluated together, and each
+    distinct count-recursion row runs once per call (``ChainPlan.evaluate``).
+    ``threads`` is accepted for compatibility and has no effect.
     """
     table = {**default_media(), **(media_profiles or {})}
     for name in spec.media:
@@ -225,9 +229,10 @@ def run_sweep(
         name, dist, _, _, t2, eps = key
         groups.setdefault((table[name].signal_velocity_kms, dist, t2, eps), []).append(key)
     best = {}
+    outcomes: dict[tuple, dict[float, RowOutcome]] = {}
     for (_, dist, t2, eps), members in groups.items():
         points = [(table[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members]
-        found = _best_depths(points, dist, t2, eps, spec.f_th, spec.m, spec.n_range)
+        found = _best_depths(points, dist, t2, eps, spec.f_th, spec.m, spec.n_range, outcomes)
         best.update(zip(members, found))
     return [_sweep_row(spec, table[key[0]], key, best[key]) for key in keys]
 
@@ -266,14 +271,35 @@ def spec_from_dict(raw: dict) -> SweepSpec:
     return SweepSpec(**raw)
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, if it is a number (a bool or a string is not)."""
+    if not _is_a(value, numbers.Real):
+        raise ConfigurationError(f"{what} must be a number")
+    return float(value)
+
+
 def media_from_dict(raw: dict) -> dict[str, MediumProfile]:
-    """Parse optional medium-profile overrides from a config mapping,
-    rejecting unknown keys."""
+    """Parse medium-profile overrides from a config mapping, rejecting
+    unknown keys; their values follow ``SweepSpec``'s rule for numbers."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("media_profiles must be an object")
     profiles = {}
     for name, entry in raw.items():
-        _reject_unknown_keys(entry, MediumProfile, f"medium profile {name!r}", "name")
-        kwargs = {key: float(v) for key, v in entry.items() if key != "att_length_km"}
-        att = {int(k): float(v) for k, v in entry["att_length_km"].items()}
+        what = f"medium profile {name!r}"
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"{what} must be an object")
+        _reject_unknown_keys(entry, MediumProfile, what, "name")
+        if not isinstance(entry.get("att_length_km"), dict):
+            raise ConfigurationError(f"{what} needs an att_length_km object")
+        if "coupling_mem_fiber" not in entry:
+            raise ConfigurationError(f"{what} needs coupling_mem_fiber")
+        kwargs = {
+            key: _number(v, f"{what} {key}") for key, v in entry.items() if key != "att_length_km"
+        }
+        att = {
+            int(k): _number(v, f"{what} att_length_km[{k}]")
+            for k, v in entry["att_length_km"].items()
+        }
         profiles[name] = MediumProfile(name=name, att_length_km=att, **kwargs)
     return profiles
 
@@ -287,11 +313,7 @@ def load_config(path: str) -> tuple[SweepSpec, dict[str, MediumProfile]]:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("sweep config must be a JSON object")
-    media_raw = raw.pop("media_profiles", {})
-    try:
-        profiles = media_from_dict(media_raw) if media_raw else {}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ConfigurationError(f"malformed media_profiles: {exc!r}") from exc
+    profiles = media_from_dict(raw.pop("media_profiles", {}))
     return spec_from_dict(raw), profiles
 
 

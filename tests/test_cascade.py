@@ -408,7 +408,8 @@ class TestRunCascadeBatch:
         ]
 
     def test_rows_equal_single_runs_bit_for_bit(self):
-        configs = self.configs([0.35, 0.02, 0.0, 0.9, 1.0])
+        # 0.02 twice: each copy equals the single run
+        configs = self.configs([0.35, 0.02, 0.0, 0.9, 1.0, 0.02])
         batch = run_cascade_batch(configs)
         assert batch.certain_reset[2] is not None
         for b, config in enumerate(configs):

@@ -131,6 +131,10 @@ def _sweep_argv(config, tmp_path) -> list[str]:
         pytest.param(_profile(att_length_km={"1550": 0}), id="zero-attenuation"),
         pytest.param(_profile(coupling_mem_fiber=1.5), id="coupling-above-1"),
         pytest.param(_profile(signal_velocity_kms=0), id="zero-velocity"),
+        pytest.param(_profile(att_length_km=[30.0]), id="attenuation-not-a-mapping"),
+        pytest.param(_sweep(media_profiles={"X": [30.0]}), id="profile-not-a-mapping"),
+        pytest.param(_sweep(media_profiles={"X": {"att_length_km": {"1550": 30.0}}}),
+                     id="profile-without-coupling"),
         pytest.param([BASE_CONFIG], id="array-config"),
         pytest.param(None, id="missing-config"),
     ],
@@ -162,6 +166,14 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
                      id="profile-velocity-inf"),
         # out-of-range and mistyped values exit 2 the same way, naming the value
         pytest.param(_sweep(media="SMF"), "media", id="string-media-axis"),
+        # profile values follow the spec's rule: a bool or a string is no number
+        pytest.param(_profile(coupling_mem_fiber=True), "'X' coupling_mem_fiber",
+                     id="boolean-coupling"),
+        pytest.param(_profile(signal_velocity_kms="2e5"), "'X' signal_velocity_kms",
+                     id="string-velocity"),
+        pytest.param(_profile(att_length_km={"1550": "30"}), "'X' att_length_km[1550]",
+                     id="string-attenuation"),
+        pytest.param(_sweep(media_profiles=[]), "media_profiles", id="empty-profiles-list"),
         pytest.param(["chain", "--n", "13"], "nesting depth", id="chain-depth-13"),
         pytest.param(["chain", "--n", "19", "--eps-g", "0.1", "--t2", "inf", "--m", "16"],
                      "nesting depth", id="chain-depth-19"),

@@ -47,7 +47,7 @@ def optimize_depth(
 ):
     """``(best_n, best_l0, point)`` of one grid point, as the sweep finds it."""
     point = sweep._best_depths(
-        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
+        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range, {}
     )[0]
     return point.n, point.l0_km, point
 
@@ -348,12 +348,17 @@ class TestPrunedDepthScan:
         calls = []
         real = protocol.run_cascade_batch
         monkeypatch.setattr(
-            protocol, "run_cascade_batch", lambda configs: calls.append(len(configs)) or real(configs)
+            protocol,
+            "run_cascade_batch",
+            lambda configs: calls.append([c.schedule + (c.pi0,) for c in configs]) or real(configs),
         )
         run_sweep(figure_preset("fig5"))
-        print(f"fig5: {len(calls)} batched calls, {sum(calls)} rows (full scan: 220, 1760)")
+        rows = [row for call in calls for row in call]
+        print(f"fig5: {len(calls)} batched calls, {len(rows)} rows (full scan: 220, 1760)")
         assert len(calls) < 220
-        assert sum(calls) < 1760
+        assert len(rows) < 1760
+        # a row is the same whatever batch runs it, so the sweep runs each once
+        assert len(set(rows)) == len(rows)
 
     def test_only_a_larger_bound_or_a_tie_at_smaller_n_can_win(self):
         point = optimize_depth(80.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0,))[2]
