@@ -4,8 +4,8 @@ A burst starts with a binomial number of pairs on each elementary link.
 Ascending the swapping hierarchy, an optional distillation step thins the
 count of each segment, and pairing two adjacent segments keeps the minimum
 of their counts.  The recursion follows the conditional distributions
-``p_cond``/``q_cond`` which, at each level, condition on at least one pair
-surviving per segment.
+``p_cond`` which, at each level, condition on at least one pair surviving
+per segment.
 
 The per-level reset probabilities follow the termination bookkeeping in
 which a pairing of counts (0, 1) at a distilling level is excluded from the
@@ -13,8 +13,8 @@ reset event, and levels without scheduled distillation never reset.  The
 pairing mass that this bookkeeping drops (instead of counting it as reset)
 is renormalized away and reported per level in ``mass_defect``.
 
-The recursion runs on ``(B, width + 1)`` arrays: one row per configuration,
-every row sharing the depth, width and distillation schedule.  Each step is
+The recursion runs on ``(B, width + 1)`` arrays: one row per ``pi0`` of one
+``CascadeSchedule`` (depth, width and distillation schedule).  Each step is
 row-wise (elementwise arithmetic, per-row sums and products), so a row comes
 out bit for bit the same whatever else shares its batch.
 """
@@ -22,8 +22,7 @@ out bit for bit the same whatever else shares its batch.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -188,18 +187,17 @@ def _reset_rows(survive: np.ndarray, n_links: int) -> tuple[np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
-class CascadeConfig:
-    """Static inputs of one burst evaluation.
+class CascadeSchedule:
+    """What the rows of one recursion batch share: everything but ``pi0``.
 
     ``distill_flags[i]`` schedules a distillation at nesting level i (the
     top level must be False); ``distill_success[i]`` is the per-attempt
     success probability used when scheduled.  ``m`` is the multiplexing
-    width and ``pi0`` the elementary success probability.
+    width.
     """
 
     n: int
     m: int
-    pi0: float
     distill_flags: tuple[bool, ...] = ()
     distill_success: tuple[float, ...] = ()
 
@@ -208,8 +206,6 @@ class CascadeConfig:
             raise ValueError("nesting depth must be non-negative")
         if self.m < 1:
             raise ValueError("multiplexing width must be at least 1")
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
         flags = tuple(bool(f) for f in self.distill_flags)
         if not flags:
             flags = (False,) * (self.n + 1)
@@ -224,48 +220,47 @@ class CascadeConfig:
             raise ValueError("distill_success must have one entry per level 0..n")
         if any(not 0.0 <= d <= 1.0 for d in succ):
             raise ValueError("distillation success probabilities must lie in [0, 1]")
+        object.__setattr__(self, "distill_flags", flags)
+        object.__setattr__(self, "distill_success", succ)
         for i, flag in enumerate(flags):
-            if flag and self.level_width_for(self.m, flags, i) < 2:
+            if flag and self.level_width(i) < 2:
                 raise ValueError(
                     f"level {i} schedules distillation but has width < 2; "
                     "increase m or drop the flag"
                 )
-        object.__setattr__(self, "distill_flags", flags)
-        object.__setattr__(self, "distill_success", succ)
-
-    @staticmethod
-    def level_width_for(m: int, flags: tuple[bool, ...], level: int) -> int:
-        return m // (1 << sum(flags[:level]))
 
     def level_width(self, level: int) -> int:
         """Channel capacity M_i available at a level, halved per prior distillation."""
-        return self.level_width_for(self.m, self.distill_flags, level)
+        return self.m // (1 << sum(self.distill_flags[:level]))
 
-    @property
-    def n_links(self) -> int:
-        return 1 << self.n
 
-    @property
-    def schedule(self) -> tuple:
-        """Everything but ``pi0``: the inputs a batch of rows must share."""
-        return (self.n, self.m, self.distill_flags, self.distill_success)
+@dataclass(frozen=True)
+class CascadeConfig(CascadeSchedule):
+    """Static inputs of one burst: a schedule and the elementary success
+    probability ``pi0``."""
+
+    pi0: float = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.pi0 <= 1.0:
+            raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
 
 
 @dataclass(frozen=True)
 class CascadeBatch:
-    """Row-wise results of one recursion over configurations sharing a schedule.
+    """Row-wise results of one recursion: one row per ``pi0`` of one schedule.
 
-    Every array has one row per configuration; per-level arrays have a column
-    per level 0..n.  ``swaps[:, i]`` and ``distill_attempts[:, i]`` are the
+    Every array has one row per ``pi0``; per-level arrays have a column per
+    level 0..n.  ``swaps[:, i]`` and ``distill_attempts[:, i]`` are the
     expected operations of a burst at level i: a scheduled distillation runs
     E[floor(k/2)] attempts per segment and every pairing performs
     min(left, right) swaps, weighted by the probability that no segment has
     run dry before the level executes.  ``certain_reset[b]`` names why row b
     resets with probability one, or is None.  Such a burst delivers nothing:
     its ``completion_prob``, ``expected_end_pairs``, ``mass_defect``,
-    ``swaps`` and ``distill_attempts`` are zero, and its ``p_cond``,
-    ``q_cond``, ``r`` and ``f`` carry no meaning.  ``p_cond``/``q_cond``
-    hold each level's rows.
+    ``swaps`` and ``distill_attempts`` are zero, and its ``p_cond``, ``r``
+    and ``f`` carry no meaning.  ``p_cond`` holds each level's rows.
 
     ``completion_prob`` is the product of per-level no-reset factors
     ``(1 - r_i) ** (N / 2**i)``; together with the reset probabilities ``f``
@@ -281,7 +276,6 @@ class CascadeBatch:
     """
 
     p_cond: tuple[np.ndarray, ...]
-    q_cond: tuple[np.ndarray, ...]
     r: np.ndarray
     f: np.ndarray
     completion_prob: np.ndarray
@@ -297,8 +291,8 @@ def end_pairs_bound(m: int, pi0: float) -> float:
     distillation schedule: a burst never delivers more end pairs than one
     elementary link generates.
 
-    Proof.  Write p_i for ``p_cond[i]`` (no mass at 0), q_i for ``q_cond[i]``
-    (q_i = p_i unless level i thins), K ~ p_i, Q ~ q_i, q0 = q_i(0),
+    Proof.  Write p_i for ``p_cond[i]`` (no mass at 0), q_i for the thinned
+    rows (q_i = p_i unless level i thins), K ~ p_i, Q ~ q_i, q0 = q_i(0),
     p1 = p_i(1), and d for level i's success probability.  Let
     s_0 = 1 - r_0 and s_{i+1} = s_i**2 (1 - r_{i+1}); then s_n is
     ``completion_prob``, and mu_i = s_i E[K] runs from mu_0 = E[K0; K0 >= 1]
@@ -352,32 +346,34 @@ def end_pairs_bound(m: int, pi0: float) -> float:
     return m * pi0
 
 
-def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
-    """Run the recursion once for configurations that differ only in ``pi0``;
-    each row is the same, bit for bit, whatever else shares its batch, a
-    repeat of itself included.  So a caller may reuse a row computed in
-    another batch in place of running it again.
+def run_cascade_batch(schedule: CascadeSchedule, pi0) -> CascadeBatch:
+    """Run the recursion of ``schedule`` once, one row per entry of the
+    ``pi0`` column; each row is the same, bit for bit, whatever else shares
+    its batch, a repeat of itself included.  So a caller may reuse a row
+    computed in another batch in place of running it again.
 
-    Each level's rows are checked once: finite, non-negative, unit mass.
+    Every ``pi0`` must lie in [0, 1].  Each level's rows are checked once:
+    finite, non-negative, unit mass.
     """
-    head = configs[0]
-    if any(c.schedule != head.schedule for c in configs[1:]):
-        raise ValueError("a batch must share n, m and the distillation schedule")
-    n, flags, n_links = head.n, head.distill_flags, head.n_links
-    zeros = np.zeros(len(configs))
+    pi0 = np.asarray(pi0, dtype=np.float64)
+    bad = pi0[~((pi0 >= 0.0) & (pi0 <= 1.0))]  # NaN fails both comparisons
+    if len(bad):
+        raise ValueError(f"pi0 must lie in [0, 1], got {bad[0]}")
+    n, m, flags = schedule.n, schedule.m, schedule.distill_flags
+    n_links = 1 << n
+    zeros = np.zeros(len(pi0))
     dead = zeros.astype(bool)  # rows that reset with certainty: unchecked
-    failures: list[str | None] = [None] * len(configs)
+    failures: list[str | None] = [None] * len(pi0)
 
     def fail(newly, message):
         for b in np.flatnonzero(newly & ~dead):
             failures[b] = message(b)
         np.logical_or(dead, newly, out=dead)
 
-    pi0 = [c.pi0 for c in configs]
-    r0, survive0, p, no_mass = _init_rows(head.m, pi0)
-    fail(no_mass, lambda b: f"generation cannot reach the threshold 1 (m={head.m}, pi0={pi0[b]})")
+    r0, survive0, p, no_mass = _init_rows(m, pi0)
+    fail(no_mass, lambda b: f"generation cannot reach the threshold 1 (m={m}, pi0={pi0[b]})")
     _check_rows(p, dead, "generation")
-    p_cond, q_cond, r, survive, defects = [p], [], [r0], [survive0], [zeros]
+    p_cond, r, survive, defects = [p], [r0], [survive0], [zeros]
     swaps, attempts = [], []
     running = survive0**n_links
     for i in range(n + 1):
@@ -385,11 +381,10 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
         q = p
         if flags[i]:
             attempts.append(running * segments * _row_means(p, np.arange(p.shape[1]) // 2))
-            q = _thin_rows(p, head.distill_success[i], head.level_width(i) // 2)
+            q = _thin_rows(p, schedule.distill_success[i], schedule.level_width(i) // 2)
             _check_rows(q, dead, f"distillation at level {i}")
         else:
             attempts.append(zeros)
-        q_cond.append(q)
         if i == n:
             swaps.append(zeros)
             break
@@ -406,7 +401,6 @@ def run_cascade_batch(configs: Sequence[CascadeConfig]) -> CascadeBatch:
     per_level = dead[:, None]
     return CascadeBatch(
         p_cond=tuple(p_cond),
-        q_cond=tuple(q_cond),
         r=np.column_stack(r),
         f=f,
         completion_prob=np.where(dead, 0.0, completion),

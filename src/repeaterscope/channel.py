@@ -44,6 +44,8 @@ class MediumProfile:
     def __post_init__(self) -> None:
         if not self.att_length_km:
             raise ConfigurationError("medium allows no wavelength")
+        if any(not w > 0 for w in self.att_length_km):
+            raise ConfigurationError("wavelengths must be positive")
         if any(not 0.0 < l < math.inf for l in self.att_length_km.values()):
             raise ConfigurationError("attenuation lengths must be positive and finite")
         if not 0.0 <= self.coupling_mem_fiber <= 1.0:

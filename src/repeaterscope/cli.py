@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import metrics, sweep
+from .cascade import CascadeConfig
 from .channel import (
     ConfigurationError,
     LinkBudget,
@@ -27,7 +28,7 @@ from .channel import (
     elementary_success,
     select_wavelength,
 )
-from .protocol import ProtocolConfig, cascade_config, plan_chains
+from .protocol import ProtocolConfig, plan_chains
 from .states import NoiseParams, key_fraction
 
 EXIT_CONFIG = 2
@@ -146,7 +147,7 @@ def _chain_payload(args: argparse.Namespace) -> dict:
         from .oracle import MonteCarloConfig, mc_cascade
 
         _, pi0 = plan.choices[0]
-        cc = cascade_config(config, plan.trace, pi0)
+        cc = CascadeConfig(**dataclasses.asdict(plan.schedule), pi0=pi0)
         mc = mc_cascade(cc, MonteCarloConfig(trials=args.trials, seed=args.seed))
         comp, comp_se = mc.completion_estimate()
         payload["oracle"] = {

@@ -165,6 +165,10 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        # numpy makes the key (seed, chunk) a float array for a seed of 2**63
+        # or more, where neighbouring seeds collide; a negative seed wraps
+        if not 0 <= self.seed < 1 << 63:
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
 
@@ -245,11 +249,7 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
     flags = config.distill_flags
     dsucc = config.distill_success
 
-    max_end = config.m
-    for i in range(n):
-        if flags[i]:
-            max_end //= 2
-    hist = np.zeros(max_end + 1, dtype=np.int64)
+    hist = np.zeros(config.level_width(n) + 1, dtype=np.int64)
     reset_at = np.zeros(n + 1, dtype=np.int64)
     dropped_at = np.zeros(n + 1, dtype=np.int64)
     entered = np.zeros(n + 1, dtype=np.int64)

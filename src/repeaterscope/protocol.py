@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import metrics
-from .cascade import CascadeConfig, end_pairs_bound, run_cascade_batch
+from .cascade import CascadeSchedule, end_pairs_bound, run_cascade_batch
 from .channel import LinkBudget, MediumProfile, select_wavelength
 from .states import (
     BellDiagonal,
@@ -170,17 +170,6 @@ def build_schedule(config: ProtocolConfig) -> LevelTrace:
     return LevelTrace(steps=tuple(steps))
 
 
-def cascade_config(config: ProtocolConfig, trace: LevelTrace, pi0: float) -> CascadeConfig:
-    """The count-recursion input of a chain, from its schedule and ``pi0``."""
-    return CascadeConfig(
-        n=config.n,
-        m=config.m,
-        pi0=pi0,
-        distill_flags=trace.distill_flags,
-        distill_success=trace.distill_success,
-    )
-
-
 def evaluate_chain(config: ProtocolConfig) -> PerformancePoint:
     """Full evaluation: wavelength choice, schedule, count recursion, SKR."""
     return plan_chains([config]).evaluate()[0]
@@ -200,6 +189,12 @@ class ChainPlan:
     trace: LevelTrace
     key: float
 
+    @property
+    def schedule(self) -> CascadeSchedule:
+        """The count-recursion schedule every chain of the plan shares."""
+        head, trace = self.configs[0], self.trace
+        return CascadeSchedule(head.n, head.m, trace.distill_flags, trace.distill_success)
+
     def skr_bounds(self) -> list[float]:
         """Each chain's SKR upper bound ``pi0 * key / 2**n``, formed as
         ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves it).
@@ -214,26 +209,25 @@ class ChainPlan:
     def evaluate(
         self,
         rows: Sequence[int] | None = None,
-        outcomes: dict[tuple, dict[float, RowOutcome]] | None = None,
+        outcomes: dict[CascadeSchedule, dict[float, RowOutcome]] | None = None,
     ) -> list[PerformancePoint]:
         """Evaluate the chains at ``rows`` (all by default); each point is the
         same whatever else is evaluated with it.
 
-        ``outcomes`` maps a ``CascadeConfig.schedule`` to the outcomes of its
-        count-recursion rows by ``pi0``.  A row found there is not run again;
-        the others run in one batch, each distinct row once, and are added to
-        it.  The reuse is exact: ``run_cascade_batch`` gives a row the same
-        bits whatever else shares its batch.
+        The rows are ``pi0``s of the plan's one ``schedule``.  ``outcomes``
+        maps a schedule to the outcomes of its count-recursion rows by
+        ``pi0``.  A row found there is not run again; the others run in one
+        batch, each distinct ``pi0`` once, and are added to it.  The reuse is
+        exact: ``run_cascade_batch`` gives a row the same bits whatever else
+        shares its batch.
         """
         rows = range(len(self.configs)) if rows is None else rows
-        head = self.configs[0]
-        # CascadeConfig.schedule of every row, without building a config
-        schedule = (head.n, head.m, self.trace.distill_flags, self.trace.distill_success)
+        schedule = self.schedule
         known = {} if outcomes is None else outcomes.setdefault(schedule, {})
         pi0s = [self.choices[b][1] for b in rows]
         missing = [pi0 for pi0 in dict.fromkeys(pi0s) if pi0 not in known]
         if missing:
-            batch = run_cascade_batch([cascade_config(head, self.trace, pi0) for pi0 in missing])
+            batch = run_cascade_batch(schedule, missing)
             for j, pi0 in enumerate(missing):
                 known[pi0] = RowOutcome(
                     expected_end_pairs=float(batch.expected_end_pairs[j]),

@@ -296,10 +296,16 @@ def media_from_dict(raw: dict) -> dict[str, MediumProfile]:
         kwargs = {
             key: _number(v, f"{what} {key}") for key, v in entry.items() if key != "att_length_km"
         }
-        att = {
-            int(k): _number(v, f"{what} att_length_km[{k}]")
-            for k, v in entry["att_length_km"].items()
-        }
+        att = {}
+        for k, v in entry["att_length_km"].items():
+            where = f"{what} att_length_km[{k}]"
+            try:
+                wavelength = int(k)
+            except ValueError:
+                raise ConfigurationError(f"{where}: a wavelength must be an integer") from None
+            if wavelength in att:
+                raise ConfigurationError(f"{where}: wavelength {wavelength} is given twice")
+            att[wavelength] = _number(v, where)
         profiles[name] = MediumProfile(name=name, att_length_km=att, **kwargs)
     return profiles
 

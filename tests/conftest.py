@@ -40,14 +40,13 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-def level_means(batch, configs):
+def level_means(batch, schedule, pi0):
     """mu_i = s_i E[p_i] of every row and level (see ``cascade.end_pairs_bound``),
     with s_0 the single-link survival 1 - (1 - pi0)**m and
     s_{i+1} = s_i**2 (1 - r_{i+1})."""
-    m = np.array([c.m for c in configs], dtype=np.float64)
-    pi0 = np.array([c.pi0 for c in configs])
+    pi0 = np.asarray(pi0, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        survive = -np.expm1(m * np.log1p(-pi0))
+        survive = -np.expm1(schedule.m * np.log1p(-pi0))
         means = []
         for i, p in enumerate(batch.p_cond):
             if i:
@@ -56,17 +55,17 @@ def level_means(batch, configs):
     return np.column_stack(means)
 
 
-def assert_end_pairs_bounded(batch, configs):
+def assert_end_pairs_bounded(batch, schedule, pi0):
     """Every live row delivers at most ``m * pi0`` end pairs, and mu_i never
     grows from one level to the next, up to rounding."""
     slack = 1e-12
-    means = level_means(batch, configs)
-    for b, config in enumerate(configs):
+    means = level_means(batch, schedule, pi0)
+    for b, p in enumerate(pi0):
         if batch.certain_reset[b]:
             continue
-        bound = end_pairs_bound(config.m, config.pi0)
+        bound = end_pairs_bound(schedule.m, p)
         assert batch.expected_end_pairs[b] <= bound * (1.0 + slack)
         assert means[b, 0] <= bound * (1.0 + slack)
-        for i in range(config.n):
+        for i in range(schedule.n):
             assert means[b, i + 1] <= means[b, i] * (1.0 + slack), (i, means[b])
         assert means[b, -1] == pytest.approx(batch.expected_end_pairs[b], rel=1e-9, abs=1e-300)

@@ -115,7 +115,7 @@ def test_criterion_5_cascade_vs_monte_carlo():
             config = CascadeConfig(
                 n=2, m=16, pi0=pi0, distill_flags=flags, distill_success=succ
             )
-            analytic = run_cascade_batch([config])
+            analytic = run_cascade_batch(config, [config.pi0])
             mc = mc_cascade(config, MonteCarloConfig(trials=1_000_000, seed=20260809))
             a = analytic.p_cond[-1][0]
             e = mc.end_distribution

@@ -10,6 +10,7 @@ from scipy.stats import binom
 from repeaterscope import cascade
 from repeaterscope.cascade import (
     CascadeConfig,
+    CascadeSchedule,
     InvariantError,
     _binomial_rows,
     _check_rows,
@@ -65,7 +66,7 @@ def resets_and_completion(r, n_links: int):
 
 def run_one(config: CascadeConfig):
     """The batch of one configuration, which must not reset with certainty."""
-    batch = run_cascade_batch([config])
+    batch = run_cascade_batch(config, [config.pi0])
     assert batch.certain_reset[0] is None
     return batch
 
@@ -202,7 +203,7 @@ class TestConditionalInit:
         assert dead[0]
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
             _check_rows(cond, LIVE, "generation")
-        batch = run_cascade_batch([CascadeConfig(n=0, m=8, pi0=0.0)])
+        batch = run_cascade_batch(CascadeSchedule(n=0, m=8), [0.0])
         assert batch.certain_reset[0] == "generation cannot reach the threshold 1 (m=8, pi0=0.0)"
 
     @pytest.mark.parametrize("m,pi0", [(1024, 1e-3), (16, 0.3)])
@@ -211,7 +212,7 @@ class TestConditionalInit:
         # complement each other to the ulp (the normalized binomial row's pmf[0]
         # misses by hundreds of ulps at m=1024)
         r0, survive, _, _ = _init_rows(m, [pi0])
-        batch = run_cascade_batch([CascadeConfig(n=0, m=m, pi0=pi0)])
+        batch = run_cascade_batch(CascadeSchedule(n=0, m=m), [pi0])
         assert batch.r[0, 0] == math.exp(m * math.log1p(-pi0))
         assert batch.r[0, 0] == r0[0]
         assert abs(r0[0] + survive[0] - 1.0) <= math.ulp(1.0)
@@ -301,10 +302,14 @@ class TestRunCascade:
             distill_success=(0.9, 1.0, 0.85, 1.0),
         )
         batch = run_one(config)
-        for track in (batch.p_cond, batch.q_cond):
-            for rows in track:
-                assert rows[0].sum() == pytest.approx(1.0, abs=1e-10)
-                assert rows[0].min() >= 0.0
+        # the thinned rows of each distilling level, from that level's rows
+        thinned = [
+            _thin_rows(batch.p_cond[i], config.distill_success[i], config.level_width(i) // 2)
+            for i, flag in enumerate(config.distill_flags) if flag
+        ]
+        for rows in (*batch.p_cond, *thinned):
+            assert rows[0].sum() == pytest.approx(1.0, abs=1e-10)
+            assert rows[0].min() >= 0.0
         assert batch.f[0].sum() + batch.completion_prob[0] == pytest.approx(
             1.0, abs=1e-10
         )
@@ -398,22 +403,17 @@ class TestProductionScaleMonteCarlo:
 
 
 class TestRunCascadeBatch:
-    FLAGS = (True, False, True, False)
-    SUCCESS = (0.9, 1.0, 0.85, 1.0)
-
-    def configs(self, pi0s, **kw):
-        return [
-            CascadeConfig(n=3, m=32, pi0=p, distill_flags=self.FLAGS, distill_success=self.SUCCESS, **kw)
-            for p in pi0s
-        ]
+    SCHEDULE = CascadeSchedule(
+        n=3, m=32, distill_flags=(True, False, True, False), distill_success=(0.9, 1.0, 0.85, 1.0)
+    )
 
     def test_rows_equal_single_runs_bit_for_bit(self):
         # 0.02 twice: each copy equals the single run
-        configs = self.configs([0.35, 0.02, 0.0, 0.9, 1.0, 0.02])
-        batch = run_cascade_batch(configs)
+        pi0s = [0.35, 0.02, 0.0, 0.9, 1.0, 0.02]
+        batch = run_cascade_batch(self.SCHEDULE, pi0s)
         assert batch.certain_reset[2] is not None
-        for b, config in enumerate(configs):
-            single = run_cascade_batch([config])
+        for b, pi0 in enumerate(pi0s):
+            single = run_cascade_batch(self.SCHEDULE, [pi0])
             assert single.certain_reset[0] == batch.certain_reset[b]
             if b == 2:
                 continue
@@ -422,9 +422,8 @@ class TestRunCascadeBatch:
                 assert np.array_equal(getattr(batch, name)[b], getattr(single, name)[0]), name
             assert batch.completion_prob[b] == single.completion_prob[0]
             assert batch.expected_end_pairs[b] == single.expected_end_pairs[0]
-            for level in range(config.n + 1):
+            for level in range(self.SCHEDULE.n + 1):
                 assert np.array_equal(batch.p_cond[level][b], single.p_cond[level][0])
-                assert np.array_equal(batch.q_cond[level][b], single.q_cond[level][0])
 
     @pytest.mark.parametrize(
         "config,reason",
@@ -446,16 +445,16 @@ class TestRunCascadeBatch:
     )
     def test_dead_rows_deliver_nothing(self, config, reason):
         with np.errstate(divide="ignore", invalid="ignore"):
-            batch = run_cascade_batch([config])
+            batch = run_cascade_batch(config, [config.pi0])
         assert batch.certain_reset[0].startswith(reason)
         assert batch.completion_prob[0] == batch.expected_end_pairs[0] == 0.0
         for name in ("mass_defect", "swaps", "distill_attempts"):
             assert np.array_equal(getattr(batch, name)[0], np.zeros(config.n + 1)), name
 
-    def test_rows_must_share_the_schedule(self):
-        mixed = self.configs([0.3]) + [CascadeConfig(n=3, m=32, pi0=0.3)]
-        with pytest.raises(ValueError):
-            run_cascade_batch(mixed)
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 1e-15, np.nan, -np.inf, np.inf])
+    def test_pi0_outside_the_unit_interval_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"pi0 must lie in \[0, 1\], got"):
+            run_cascade_batch(self.SCHEDULE, [0.35, bad, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_level_is_rejected(self, monkeypatch, bad):
@@ -468,7 +467,7 @@ class TestRunCascadeBatch:
 
         monkeypatch.setattr(cascade, "_thinning_table", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError, match="distillation at level 0"):
-            run_cascade_batch(self.configs([0.35]))
+            run_cascade_batch(self.SCHEDULE, [0.35])
 
     @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("pi0", [1e-15, 1e-13])
@@ -487,8 +486,8 @@ _EXTREME_PI0 = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-15, 1.0
 
 @st.composite
 def cascade_batches(draw):
-    """Configurations sharing a random valid schedule: any flag pattern the
-    width allows, any success probability in [0, 1], m from 1 to 1024."""
+    """A random valid schedule and a ``pi0`` column for it: any flag pattern
+    the width allows, any success probability in [0, 1], m from 1 to 1024."""
     n = draw(st.integers(min_value=0, max_value=12))
     m = draw(st.integers(min_value=1, max_value=1024))
     flags, width = [], m
@@ -503,10 +502,8 @@ def cascade_batches(draw):
         st.sampled_from(_EXTREME_PI0),
         st.floats(min_value=-16.0, max_value=0.0).map(lambda e: 10.0**e),
     )
-    return [
-        CascadeConfig(n=n, m=m, pi0=p, distill_flags=tuple(flags), distill_success=success)
-        for p in draw(st.lists(pi0, min_size=1, max_size=4))
-    ]
+    schedule = CascadeSchedule(n=n, m=m, distill_flags=tuple(flags), distill_success=success)
+    return schedule, draw(st.lists(pi0, min_size=1, max_size=4))
 
 
 class TestEndPairsBound:
@@ -515,24 +512,25 @@ class TestEndPairsBound:
 
     @settings(max_examples=40, deadline=None)
     @given(cascade_batches())
-    @example([CascadeConfig(n=4, m=1, pi0=p) for p in (0.3, 5e-324, 1.0)])
-    @example([CascadeConfig(n=12, m=1024, pi0=p) for p in (1e-300, 1e-3, 0.9)])
+    @example((CascadeSchedule(n=4, m=1), [0.3, 5e-324, 1.0]))
+    @example((CascadeSchedule(n=12, m=1024), [1e-300, 1e-3, 0.9]))
     @example(
-        [
-            CascadeConfig(
-                n=12, m=1024, pi0=p, distill_flags=(True,) * 10 + (False,) * 3,
+        (
+            CascadeSchedule(
+                n=12, m=1024, distill_flags=(True,) * 10 + (False,) * 3,
                 distill_success=(0.5,) * 13,
-            )
-            for p in (5e-324, 2.2250738585072014e-308, 0.05, 1.0)
-        ]
+            ),
+            [5e-324, 2.2250738585072014e-308, 0.05, 1.0],
+        )
     )
-    def test_bound_and_level_means(self, configs):
+    def test_bound_and_level_means(self, rows):
+        schedule, pi0 = rows
         with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
-            batch = run_cascade_batch(configs)
-        assert_end_pairs_bounded(batch, configs)
+            batch = run_cascade_batch(schedule, pi0)
+        assert_end_pairs_bounded(batch, schedule, pi0)
 
     def test_subnormal_success_resets_with_certainty(self):
-        batch = run_cascade_batch([CascadeConfig(n=2, m=16, pi0=5e-324)])
+        batch = run_cascade_batch(CascadeSchedule(n=2, m=16), [5e-324])
         assert batch.certain_reset[0] is not None
         assert end_pairs_bound(16, 5e-324) == 16 * 5e-324
 

@@ -79,7 +79,7 @@ def test_nan_rate_in_a_sweep_exits_3(monkeypatch, tmp_path):
 
 
 def test_schedule_error_from_the_recursion_exits_2(monkeypatch):
-    def bad_batch(configs):
+    def bad_batch(schedule, pi0):
         raise ValueError("cap 1 cannot hold up to 2 distilled pairs")
 
     monkeypatch.setattr(protocol, "run_cascade_batch", bad_batch)
@@ -181,6 +181,24 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
         pytest.param(_sweep(n_range=[5000]), "nesting depth", id="sweep-depth-5000"),
         pytest.param(_sweep(n_range=[-1018]), "nesting depth", id="sweep-depth-minus-1018"),
         pytest.param(_sweep(n_range=[-5000]), "nesting depth", id="sweep-depth-minus-5000"),
+        # a Philox key holds a seed in [0, 2**63) without loss
+        *[
+            pytest.param(["chain", "--m", "16", "--oracle", "--trials", "2000", "--seed", str(seed)],
+                         "seed", id=f"oracle-seed-{name}")
+            for seed, name in ((-1, "minus-1"), (2**63, "2-63"), (2**64, "2-64"))
+        ],
+        # a wavelength key is a positive integer, and names one wavelength once
+        pytest.param(_profile(att_length_km={"-5": 30.0}), "wavelengths must be positive",
+                     id="negative-wavelength"),
+        pytest.param(_profile(att_length_km={"0": 30.0}), "wavelengths must be positive",
+                     id="zero-wavelength"),
+        pytest.param(_profile(att_length_km={"abc": 30.0}), "'X' att_length_km[abc]",
+                     id="non-integer-wavelength"),
+        pytest.param(_profile(att_length_km={"1550.5": 30.0}), "'X' att_length_km[1550.5]",
+                     id="fractional-wavelength"),
+        pytest.param(_profile(att_length_km={"1550": 30.0, "01550": 40.0}),
+                     "'X' att_length_km[01550]: wavelength 1550 is given twice",
+                     id="repeated-wavelength"),
     ],
 )
 def test_non_finite_input_exits_2(case, named, tmp_path, capsys):

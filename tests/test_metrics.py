@@ -13,14 +13,14 @@ from repeaterscope.states import NoiseParams
 class TestOpsPerBurst:
     def test_single_link_has_no_ops(self):
         config = CascadeConfig(n=0, m=4, pi0=0.6)
-        batch = run_cascade_batch([config])
+        batch = run_cascade_batch(config, [config.pi0])
         ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         assert ops.swaps == 0.0
         assert ops.distill_attempts == 0.0
 
     def test_deterministic_single_swap(self):
         config = CascadeConfig(n=1, m=1, pi0=1.0)
-        batch = run_cascade_batch([config])
+        batch = run_cascade_batch(config, [config.pi0])
         ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         assert ops.swaps == pytest.approx(1.0, abs=1e-12)
         assert ops.two_qubit_gates == pytest.approx(1.0, abs=1e-12)
@@ -34,7 +34,7 @@ class TestOpsPerBurst:
             distill_flags=(True, False, False),
             distill_success=(0.9, 1.0, 1.0),
         )
-        batch = run_cascade_batch([config])
+        batch = run_cascade_batch(config, [config.pi0])
         ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         assert ops.distill_attempts > 0.0
         assert ops.two_qubit_gates == pytest.approx(
@@ -50,7 +50,7 @@ class TestOpsPerBurst:
             distill_flags=(True, False, False),
             distill_success=(0.9, 1.0, 1.0),
         )
-        batch = run_cascade_batch([config])
+        batch = run_cascade_batch(config, [config.pi0])
         ops = ops_per_burst(batch.swaps[0], batch.distill_attempts[0])
         mc = mc_cascade(config, MonteCarloConfig(trials=400_000, seed=99))
         sw_mean, sw_se, di_mean, di_se = mc.ops_estimate()

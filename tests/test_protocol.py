@@ -11,7 +11,6 @@ from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 from repeaterscope.protocol import (
     ProtocolConfig,
     build_schedule,
-    cascade_config,
     evaluate_chain,
     plan_chains,
     wait_time,
@@ -214,10 +213,10 @@ class TestSkrBound:
         assert 0.0 <= point.skr_pcu <= bound * (1.0 + 1e-12)
         assert point == evaluate_chain(config)
         _, pi0 = plan.choices[0]
-        cc = [cascade_config(config, plan.trace, pi0)]
+        schedule = plan.schedule
         with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
-            batch = run_cascade_batch(cc)
-        assert_end_pairs_bounded(batch, cc)
+            batch = run_cascade_batch(schedule, [pi0])
+        assert_end_pairs_bounded(batch, schedule, [pi0])
 
     def test_evaluating_a_subset_leaves_rows_unchanged(self):
         configs = [make_config(conv=c, n=3, m=64, eps=1e-2, f_th=0.99) for c in (0.3, 0.5, 0.7, 1.0)]

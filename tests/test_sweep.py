@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repeaterscope import cli, protocol, sweep
-from repeaterscope.cascade import InvariantError
+from repeaterscope.cascade import CascadeConfig, InvariantError
 from repeaterscope.channel import (
     DEFAULT_SIGNAL_VELOCITY,
     ConfigurationError,
@@ -350,7 +350,7 @@ class TestPrunedDepthScan:
         monkeypatch.setattr(
             protocol,
             "run_cascade_batch",
-            lambda configs: calls.append([c.schedule + (c.pi0,) for c in configs]) or real(configs),
+            lambda schedule, pi0: calls.append([(schedule, p) for p in pi0]) or real(schedule, pi0),
         )
         run_sweep(figure_preset("fig5"))
         rows = [row for call in calls for row in call]
@@ -359,6 +359,17 @@ class TestPrunedDepthScan:
         assert len(rows) < 1760
         # a row is the same whatever batch runs it, so the sweep runs each once
         assert len(set(rows)) == len(rows)
+
+    def test_fig5_builds_no_cascade_config(self, monkeypatch):
+        # the rows of a batch share one CascadeSchedule per evaluation; no
+        # per-row CascadeConfig revalidates it
+        built = []
+        check = CascadeConfig.__post_init__
+        monkeypatch.setattr(CascadeConfig, "__post_init__", lambda c: built.append(c) or check(c))
+        run_sweep(figure_preset("fig5"))
+        assert built == []
+        CascadeConfig(n=0, m=1, pi0=0.5)  # the hook sees a config that is built
+        assert len(built) == 1
 
     def test_only_a_larger_bound_or_a_tie_at_smaller_n_can_win(self):
         point = optimize_depth(80.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0,))[2]
