@@ -13,7 +13,8 @@ elementary links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from . import metrics
 from .cascade import CascadeSchedule, end_pairs_bound, run_cascade_batch
@@ -175,34 +176,52 @@ def evaluate_chain(config: ProtocolConfig) -> PerformancePoint:
     return plan_chains([config]).evaluate()[0]
 
 
+# rows of one ``run_cascade_batch`` call: a batch holds a (rows, m + 1)
+# array per level, so an unbounded batch (all of fig3's rows share the n = 0
+# schedule) costs memory, and no more speed, than chunks of this many
+_BATCH_ROWS = 16
+
+
 @dataclass(frozen=True)
 class ChainPlan:
     """Chains that share one schedule, planned but not yet evaluated.
 
-    Holds each chain's wavelength choice ``(wavelength_nm, pi0)``, the shared
-    schedule and its end state's key fraction: the inputs of both the SKR
-    bound and the count recursion, so that the bound costs no extra work.
+    Holds each chain's wavelength choice ``(wavelength_nm, pi0)``.  The
+    shared schedule (``trace``), its end state's key fraction (``key``) and
+    its count-recursion ``schedule`` are computed once each, on first use, so
+    a caller that needs only the schedule-free bound ``skr_bounds(key=1.0)``
+    never builds the schedule.
     """
 
     configs: tuple[ProtocolConfig, ...]
     choices: tuple[tuple[int, float], ...]
-    trace: LevelTrace
-    key: float
 
-    @property
+    @cached_property
+    def trace(self) -> LevelTrace:
+        return build_schedule(self.configs[0])
+
+    @cached_property
+    def key(self) -> float:
+        return key_fraction(self.trace.end_state)
+
+    @cached_property
     def schedule(self) -> CascadeSchedule:
         """The count-recursion schedule every chain of the plan shares."""
         head, trace = self.configs[0], self.trace
         return CascadeSchedule(head.n, head.m, trace.distill_flags, trace.distill_success)
 
-    def skr_bounds(self) -> list[float]:
+    def skr_bounds(self, key: float | None = None) -> list[float]:
         """Each chain's SKR upper bound ``pi0 * key / 2**n``, formed as
         ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves it).
 
-        A computed ``skr_pcu`` stays within 1e-12 relative of its bound.
+        ``key`` defaults to the schedule's key fraction; a computed
+        ``skr_pcu`` stays within 1e-12 relative of that bound.  A key
+        fraction is at most 1, so ``key=1.0`` gives a looser bound, never
+        below the tight one, that needs no schedule.
         """
+        key = self.key if key is None else key
         return [
-            end_pairs_bound(c.m, pi0) * self.key / (c.m * (1 << c.n))
+            end_pairs_bound(c.m, pi0) * key / (c.m * (1 << c.n))
             for c, (_, pi0) in zip(self.configs, self.choices)
         ]
 
@@ -216,29 +235,15 @@ class ChainPlan:
 
         The rows are ``pi0``s of the plan's one ``schedule``.  ``outcomes``
         maps a schedule to the outcomes of its count-recursion rows by
-        ``pi0``.  A row found there is not run again; the others run in one
-        batch, each distinct ``pi0`` once, and are added to it.  The reuse is
-        exact: ``run_cascade_batch`` gives a row the same bits whatever else
-        shares its batch.
+        ``pi0``; the rows it lacks are run first (``run_rows``) and added.
         """
         rows = range(len(self.configs)) if rows is None else rows
-        schedule = self.schedule
-        known = {} if outcomes is None else outcomes.setdefault(schedule, {})
-        pi0s = [self.choices[b][1] for b in rows]
-        missing = [pi0 for pi0 in dict.fromkeys(pi0s) if pi0 not in known]
-        if missing:
-            batch = run_cascade_batch(schedule, missing)
-            for j, pi0 in enumerate(missing):
-                known[pi0] = RowOutcome(
-                    expected_end_pairs=float(batch.expected_end_pairs[j]),
-                    completion_prob=float(batch.completion_prob[j]),
-                    ops=metrics.ops_per_burst(batch.swaps[j], batch.distill_attempts[j]),
-                    mass_defect=float(batch.mass_defect[j].max()),
-                    certain_reset=batch.certain_reset[j],
-                )
+        outcomes = {} if outcomes is None else outcomes
+        run_rows([(self, rows)], outcomes)
+        known = outcomes[self.schedule]
         points = []
-        for b, pi0 in zip(rows, pi0s):
-            config, (wavelength, _) = self.configs[b], self.choices[b]
+        for b in rows:
+            config, (wavelength, pi0) = self.configs[b], self.choices[b]
             outcome = known[pi0]
             reason = outcome.certain_reset
             # normalize by all channel uses of the burst: M attempts on each
@@ -260,16 +265,51 @@ class ChainPlan:
         return points
 
 
+def run_rows(
+    requests: Iterable[tuple[ChainPlan, Sequence[int]]],
+    outcomes: dict[CascadeSchedule, dict[float, RowOutcome]],
+) -> None:
+    """Run the count-recursion rows that the ``(plan, rows)`` requests need
+    and ``outcomes`` lacks, and add their outcomes to it.
+
+    Each distinct ``(schedule, pi0)`` runs once, and the rows of one schedule
+    share batches of at most ``_BATCH_ROWS``, whichever plans ask for them.
+    The reuse is exact: ``run_cascade_batch`` gives a row the same bits
+    whatever else shares its batch.
+    """
+    missing: dict[CascadeSchedule, dict[float, None]] = {}
+    for plan, rows in requests:
+        known = outcomes.setdefault(plan.schedule, {})
+        todo = missing.setdefault(plan.schedule, {})
+        for b in rows:
+            pi0 = plan.choices[b][1]
+            if pi0 not in known:
+                todo[pi0] = None
+    for schedule, todo in missing.items():
+        pi0s = list(todo)
+        for start in range(0, len(pi0s), _BATCH_ROWS):
+            chunk = pi0s[start:start + _BATCH_ROWS]
+            batch = run_cascade_batch(schedule, chunk)
+            for j, pi0 in enumerate(chunk):
+                outcomes[schedule][pi0] = RowOutcome(
+                    expected_end_pairs=float(batch.expected_end_pairs[j]),
+                    completion_prob=float(batch.completion_prob[j]),
+                    ops=metrics.ops_per_burst(batch.swaps[j], batch.distill_attempts[j]),
+                    mass_defect=float(batch.mass_defect[j].max()),
+                    certain_reset=batch.certain_reset[j],
+                )
+
+
 def plan_chains(configs: Sequence[ProtocolConfig]) -> ChainPlan:
     """Plan chains that share one schedule: the same depth, width, threshold,
     noise, spacing and signal velocity.  Such chains differ only in their
-    elementary success probability, so one schedule serves them all."""
+    elementary success probability, so one schedule serves them all.  Only
+    the wavelengths are chosen here; the plan builds the schedule on first
+    use."""
     def schedule_inputs(c: ProtocolConfig) -> tuple:
         return (c.n, c.m, c.f_th, c.noise, c.budget.l0_km, c.medium.signal_velocity_kms)
 
     if any(schedule_inputs(c) != schedule_inputs(configs[0]) for c in configs[1:]):
         raise ValueError("chains of one batch must share their schedule inputs")
-    choices = tuple(select_wavelength(c.medium, c.budget) for c in configs)
-    trace = build_schedule(configs[0])
-    return ChainPlan(tuple(configs), choices, trace, key_fraction(trace.end_state))
+    return ChainPlan(tuple(configs), tuple(select_wavelength(c.medium, c.budget) for c in configs))
 

@@ -9,6 +9,7 @@ endings.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import numbers
@@ -23,8 +24,16 @@ from .channel import (
     conversion_threshold,
     default_media,
 )
-from .cascade import InvariantError
-from .protocol import PerformancePoint, ProtocolConfig, RowOutcome, check_depth, plan_chains
+from .cascade import CascadeSchedule, InvariantError
+from .protocol import (
+    ChainPlan,
+    PerformancePoint,
+    ProtocolConfig,
+    RowOutcome,
+    check_depth,
+    plan_chains,
+    run_rows,
+)
 from .states import NoiseParams
 
 DEFAULT_N_RANGE = tuple(range(0, 11))
@@ -117,7 +126,7 @@ def _wins(skr: float, n: int, held: PerformancePoint | None) -> bool:
     return held is None or not (skr < held.skr_pcu or (skr == held.skr_pcu and n > held.n))
 
 
-def _best_depths(
+def _depth_plans(
     points: list[tuple[MediumProfile, float, float]],
     total_distance_km: float,
     t2_s: float,
@@ -125,28 +134,19 @@ def _best_depths(
     f_th: float,
     m: int,
     n_range: tuple[int, ...],
-    outcomes: dict[tuple, dict[float, RowOutcome]],
-) -> list[PerformancePoint]:
-    """The SKR argmax over depth for each ``(medium, conv_eff, eta_hardware)``
-    point; ties keep the smaller n.
-
-    The points must share their media's signal velocity: at each depth they
-    then share one schedule and go through one batched evaluation.  A depth
-    is evaluated only for the points its SKR bound (``ChainPlan.skr_bounds``)
-    lets win, and depths are scanned from the largest bound down, so the
-    result equals the full scan's while most depths are never evaluated.
-    ``outcomes`` holds the count-recursion rows already run, as
-    ``ChainPlan.evaluate`` keeps them.
-    """
+) -> list[ChainPlan]:
+    """One plan per depth of one group: its ``(medium, conv_eff,
+    eta_hardware)`` points, which share their media's signal velocity, the
+    distance, T2 and gate error, and so one schedule at each depth."""
     noise = NoiseParams(eps_g, t2=t2_s)
-    scan = []
-    for n in n_range:
-        # total / 2**n exactly
-        l0 = math.ldexp(total_distance_km, -n)
-        plan = plan_chains([
+    return [
+        plan_chains([
             ProtocolConfig(
                 medium=medium,
-                budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0),
+                # total / 2**n exactly
+                budget=LinkBudget(
+                    eta_hardware=eta_hw, conv_eff=conv, l0_km=math.ldexp(total_distance_km, -n)
+                ),
                 noise=noise,
                 n=n,
                 m=m,
@@ -154,21 +154,70 @@ def _best_depths(
             )
             for medium, conv, eta_hw in points
         ])
-        bounds = plan.skr_bounds()
-        # a NaN bound sorts first, so that its depth is evaluated and rejected
-        top = max(math.inf if math.isnan(b) else b for b in bounds)
-        scan.append((-top, n, plan, bounds))
-    scan.sort(key=lambda entry: entry[:2])
-    best: list[PerformancePoint | None] = [None] * len(points)
-    for _, n, plan, bounds in scan:
+        for n in n_range
+    ]
+
+
+def _push(heap: list, plan: ChainPlan, bounds: list[float], planned: bool) -> None:
+    # a NaN bound sorts first, so that its depth is planned, evaluated and
+    # rejected; a group's heap holds one entry per depth, so (-top, n) is
+    # unique and the plans are never compared
+    top = max(math.inf if math.isnan(b) else b for b in bounds)
+    heapq.heappush(heap, (-top, plan.configs[0].n, planned, plan, bounds))
+
+
+def _next_depth(heap: list, best: list) -> tuple[ChainPlan, list[int]] | None:
+    """Pop a group's depths until a planned one at which some point can still
+    win, and return its plan and those points; ``None`` once none is left.
+
+    A depth is first keyed by its schedule-free bound (``skr_bounds(key=1.0)``)
+    and dropped if no point can win under it; otherwise its schedule is
+    built and it goes back under its SKR bound, which is never larger.  So
+    planned depths leave in the order of a scan over every depth by
+    descending SKR bound, and each is evaluated at the same points.
+    """
+    while heap:
+        _, n, planned, plan, bounds = heapq.heappop(heap)
         live = [i for i, bound in enumerate(bounds) if _wins(bound * _BOUND_SLACK, n, best[i])]
-        if not live:
-            continue
-        for i, point in zip(live, plan.evaluate(live, outcomes)):
-            if math.isnan(point.skr_pcu):
-                raise InvariantError(f"skr_pcu is NaN at n={n}")
-            if _wins(point.skr_pcu, n, best[i]):
-                best[i] = point
+        if live and planned:
+            return plan, live
+        if live:
+            _push(heap, plan, plan.skr_bounds(), planned=True)
+    return None
+
+
+def _scan_depths(groups: Iterable[list[ChainPlan]]) -> list[list[PerformancePoint]]:
+    """The SKR argmax over depth for each point of each group (its plans,
+    one per depth); ties keep the smaller n.
+
+    A depth is evaluated only for the points its SKR bound lets win, and
+    depths are scanned from the largest bound down (``_next_depth``), so the
+    result equals the full scan's while most depths are never evaluated,
+    and most schedules never built.  All groups step together: each takes
+    its next depth, the count-recursion rows of the step run once per
+    schedule (``protocol.run_rows``), and each group keeps its winners.
+    A plan, with its schedule, is freed once its depth leaves the scan,
+    unless ``groups`` holds it.
+    """
+    heaps, best = [], []
+    for plans in groups:
+        heap: list = []
+        for plan in plans:
+            _push(heap, plan, plan.skr_bounds(key=1.0), planned=False)
+        heaps.append(heap)
+        best.append([None] * len(plans[0].configs))
+    outcomes: dict[CascadeSchedule, dict[float, RowOutcome]] = {}
+    active = range(len(heaps))
+    while active:
+        step = [(g, *found) for g in active if (found := _next_depth(heaps[g], best[g]))]
+        run_rows([(plan, live) for _, plan, live in step], outcomes)
+        for g, plan, live in step:
+            for i, point in zip(live, plan.evaluate(live, outcomes)):
+                if math.isnan(point.skr_pcu):
+                    raise InvariantError(f"skr_pcu is NaN at n={point.n}")
+                if _wins(point.skr_pcu, point.n, best[g][i]):
+                    best[g][i] = point
+        active = [g for g, _, _ in step]
     return best
 
 
@@ -206,10 +255,13 @@ def run_sweep(
     """Evaluate every grid point.  ``spec.output_path`` is not read here:
     ``repeaterscope sweep`` writes the rows there.
 
-    Points that share signal velocity, distance, T2 and gate error share
-    their schedule at every depth and are evaluated together, and each
-    distinct count-recursion row runs once per call (``ChainPlan.evaluate``).
-    ``threads`` is accepted for compatibility and has no effect.
+    Points that share signal velocity, distance, T2 and gate error form a
+    group: they share their schedule at every depth and are evaluated
+    together.  One depth scan steps all groups together (``_scan_depths``),
+    builds a depth's schedule only once its schedule-free bound can win, and
+    runs each distinct count-recursion row once per call, in batches shared
+    by every group that needs the row's schedule.  ``threads`` is accepted
+    for compatibility and has no effect.
     """
     table = {**default_media(), **(media_profiles or {})}
     for name in spec.media:
@@ -228,12 +280,17 @@ def run_sweep(
     for key in keys:
         name, dist, _, _, t2, eps = key
         groups.setdefault((table[name].signal_velocity_kms, dist, t2, eps), []).append(key)
-    best = {}
-    outcomes: dict[tuple, dict[float, RowOutcome]] = {}
-    for (_, dist, t2, eps), members in groups.items():
-        points = [(table[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members]
-        found = _best_depths(points, dist, t2, eps, spec.f_th, spec.m, spec.n_range, outcomes)
-        best.update(zip(members, found))
+    found = _scan_depths(
+        _depth_plans(
+            [(table[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members],
+            dist, t2, eps, spec.f_th, spec.m, spec.n_range,
+        )
+        for (_, dist, t2, eps), members in groups.items()
+    )
+    best = {
+        key: point for members, points in zip(groups.values(), found)
+        for key, point in zip(members, points)
+    }
     return [_sweep_row(spec, table[key[0]], key, best[key]) for key in keys]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repeaterscope import protocol
 from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.channel import LinkBudget, hcf_profile, select_wavelength, smf_profile
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
@@ -208,15 +209,31 @@ class TestSkrBound:
     @example(make_config(m=1, n=12, l0=0.5))
     def test_skr_within_bound(self, config):
         plan = plan_chains([config])
+        (loose,) = plan.skr_bounds(key=1.0)
         (bound,) = plan.skr_bounds()
         (point,) = plan.evaluate()
         assert 0.0 <= point.skr_pcu <= bound * (1.0 + 1e-12)
+        assert bound <= loose
         assert point == evaluate_chain(config)
         _, pi0 = plan.choices[0]
         schedule = plan.schedule
         with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
             batch = run_cascade_batch(schedule, [pi0])
         assert_end_pairs_bounded(batch, schedule, [pi0])
+
+    def test_schedule_is_built_once_on_first_use(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            protocol, "build_schedule", lambda c: built.append(c) or build_schedule(c)
+        )
+        plan = plan_chains([make_config(conv=c, n=3, m=64) for c in (0.5, 1.0)])
+        plan.skr_bounds(key=1.0)
+        assert built == []
+        schedule = plan.schedule
+        plan.evaluate()
+        assert plan.skr_bounds() == plan.skr_bounds()
+        assert plan.schedule is schedule
+        assert built == [plan.configs[0]]
 
     def test_evaluating_a_subset_leaves_rows_unchanged(self):
         configs = [make_config(conv=c, n=3, m=64, eps=1e-2, f_th=0.99) for c in (0.3, 0.5, 0.7, 1.0)]

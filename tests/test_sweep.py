@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -45,10 +47,12 @@ def optimize_depth(
     total_distance_km, medium, conv_eff, eta_hardware, t2_s, eps_g,
     f_th=0.95, m=1024, n_range=sweep.DEFAULT_N_RANGE,
 ):
-    """``(best_n, best_l0, point)`` of one grid point, as the sweep finds it."""
-    point = sweep._best_depths(
-        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range, {}
-    )[0]
+    """``(best_n, best_l0, point)`` of one grid point, as the sweep finds it:
+    the depth scan over a single group of one point."""
+    plans = sweep._depth_plans(
+        [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
+    )
+    point = sweep._scan_depths([plans])[0][0]
     return point.n, point.l0_km, point
 
 
@@ -288,23 +292,24 @@ class TestFigurePresets:
             figure_preset("fig99")
 
 
-def full_scan(spec):
-    """The rows of an ascending scan over every depth of ``spec.n_range``,
-    built from ``ChainPlan.evaluate`` alone: ties keep the smaller n."""
+def grid_groups(spec):
+    """The sweep's grid keys in row order, and their groups by signal
+    velocity, distance, T2 and gate error."""
     media = default_media()
-    keys = [
-        (name, dist, conv, eta_hw, t2, eps)
-        for name in spec.media
-        for dist in spec.total_distance_km
-        for conv in spec.conv_eff
-        for eta_hw in spec.eta_hardware
-        for t2 in spec.t2_s
-        for eps in spec.eps_g
-    ]
+    keys = list(itertools.product(
+        spec.media, spec.total_distance_km, spec.conv_eff, spec.eta_hardware, spec.t2_s, spec.eps_g
+    ))
     groups = {}
     for key in keys:
         name, dist, _, _, t2, eps = key
         groups.setdefault((media[name].signal_velocity_kms, dist, t2, eps), []).append(key)
+    return media, keys, groups
+
+
+def full_scan(spec):
+    """The rows of an ascending scan over every depth of ``spec.n_range``,
+    built from ``ChainPlan.evaluate`` alone: ties keep the smaller n."""
+    media, keys, groups = grid_groups(spec)
     best = {}
     for (_, dist, t2, eps), members in groups.items():
         for n in sorted(spec.n_range):
@@ -326,9 +331,77 @@ def full_scan(spec):
     return [sweep._sweep_row(spec, media[key[0]], key, best[key]) for key in keys]
 
 
+def eager_best_depths(points, total_distance_km, t2_s, eps_g, f_th, m, n_range, outcomes):
+    """The reference depth scan of one group: plan every depth (building its
+    schedule), then scan depths by descending SKR bound ``(-bound, n)``, and
+    evaluate a point at a depth only while its bound can still win."""
+    noise = NoiseParams(eps_g, t2=t2_s)
+    scan = []
+    for n in n_range:
+        l0 = math.ldexp(total_distance_km, -n)
+        plan = plan_chains([
+            ProtocolConfig(
+                medium=medium,
+                budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0),
+                noise=noise,
+                n=n,
+                m=m,
+                f_th=f_th,
+            )
+            for medium, conv, eta_hw in points
+        ])
+        bounds = plan.skr_bounds()
+        top = max(math.inf if math.isnan(b) else b for b in bounds)
+        scan.append((-top, n, plan, bounds))
+    scan.sort(key=lambda entry: entry[:2])
+    best = [None] * len(points)
+    for _, n, plan, bounds in scan:
+        live = [
+            i for i, bound in enumerate(bounds)
+            if sweep._wins(bound * sweep._BOUND_SLACK, n, best[i])
+        ]
+        if not live:
+            continue
+        for i, point in zip(live, plan.evaluate(live, outcomes)):
+            if math.isnan(point.skr_pcu):
+                raise InvariantError(f"skr_pcu is NaN at n={n}")
+            if sweep._wins(point.skr_pcu, n, best[i]):
+                best[i] = point
+    return best
+
+
+def eager_sweep(spec):
+    """The rows of ``spec`` with each group scanned on its own by
+    ``eager_best_depths``."""
+    media, keys, groups = grid_groups(spec)
+    best, outcomes = {}, {}
+    for (_, dist, t2, eps), members in groups.items():
+        points = [(media[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members]
+        found = eager_best_depths(points, dist, t2, eps, spec.f_th, spec.m, spec.n_range, outcomes)
+        best.update(zip(members, found))
+    return [sweep._sweep_row(spec, media[key[0]], key, best[key]) for key in keys]
+
+
+def record_point_depths(monkeypatch):
+    """Patch ``ChainPlan.evaluate`` to count each point-depth it evaluates."""
+    seen = collections.Counter()
+    real = protocol.ChainPlan.evaluate
+
+    def evaluate(plan, rows=None, outcomes=None):
+        for b in range(len(plan.configs)) if rows is None else rows:
+            c = plan.configs[b]
+            seen[(c.medium.name, c.budget, c.noise, c.n)] += 1
+        return real(plan, rows, outcomes)
+
+    monkeypatch.setattr(protocol.ChainPlan, "evaluate", evaluate)
+    return seen
+
+
 class TestPrunedDepthScan:
-    """The sweep skips depths whose SKR bound cannot win; its rows must be
-    those of the full scan, byte for byte."""
+    """The sweep skips depths whose SKR bound cannot win, and builds a
+    depth's schedule only once its schedule-free bound can win; its rows must
+    be those of the full scan, byte for byte, and it must evaluate the
+    point-depths of the eager per-group scan (``eager_best_depths``)."""
 
     @pytest.mark.parametrize(
         "name",
@@ -343,22 +416,65 @@ class TestPrunedDepthScan:
         assert [r.wavelength_used_nm for r in pruned] == [r.wavelength_used_nm for r in full]
         assert rows_to_csv(pruned) == rows_to_csv(full)
 
+    @pytest.mark.parametrize(
+        "name,evaluated",
+        [
+            ("fig3", 1000),
+            ("fig5", 459),
+            ("fig6", 1250),
+            ("fig8", 425),
+            pytest.param("skr_curves", 2455, marks=pytest.mark.slow),
+        ],
+    )
+    def test_evaluates_the_point_depths_of_the_eager_scan(self, monkeypatch, name, evaluated):
+        spec = figure_preset(name)
+        seen = record_point_depths(monkeypatch)
+        rows = run_sweep(spec)
+        shared = collections.Counter(seen)
+        seen.clear()
+        eager = eager_sweep(spec)
+        assert shared == seen
+        assert max(seen.values()) == 1
+        assert sum(seen.values()) == evaluated
+        assert rows_to_csv(rows) == rows_to_csv(eager)
+
     def test_fig5_skips_most_batched_recursions(self, monkeypatch):
-        # 20 groups x 11 depths: the full scan makes 220 batched calls
-        calls = []
+        # 20 groups x 11 depths: a scan that plans every depth builds 220
+        # schedules, and the eager per-group scan runs its 257 rows in 56
+        # batched calls
+        calls, schedules = [], []
+        real_batch, real_schedule = protocol.run_cascade_batch, protocol.build_schedule
+        monkeypatch.setattr(
+            protocol,
+            "run_cascade_batch",
+            lambda schedule, pi0: calls.append([(schedule, p) for p in pi0])
+            or real_batch(schedule, pi0),
+        )
+        monkeypatch.setattr(
+            protocol, "build_schedule", lambda c: schedules.append(c.n) or real_schedule(c)
+        )
+        run_sweep(figure_preset("fig5"))
+        rows = [row for call in calls for row in call]
+        print(f"fig5: {len(schedules)} schedules, {len(calls)} batched calls, {len(rows)} rows")
+        assert len(schedules) == 104
+        assert len(calls) <= 34
+        assert len(rows) == 257
+        # a row is the same whatever batch runs it, so the sweep runs each once
+        assert len(set(rows)) == len(rows)
+
+    def test_fig3_batches_are_bounded(self, monkeypatch):
+        # all 921 fig3 rows share the n = 0 schedule; they run in chunks
+        sizes = []
         real = protocol.run_cascade_batch
         monkeypatch.setattr(
             protocol,
             "run_cascade_batch",
-            lambda schedule, pi0: calls.append([(schedule, p) for p in pi0]) or real(schedule, pi0),
+            lambda schedule, pi0: sizes.append(len(pi0)) or real(schedule, pi0),
         )
-        run_sweep(figure_preset("fig5"))
-        rows = [row for call in calls for row in call]
-        print(f"fig5: {len(calls)} batched calls, {len(rows)} rows (full scan: 220, 1760)")
-        assert len(calls) < 220
-        assert len(rows) < 1760
-        # a row is the same whatever batch runs it, so the sweep runs each once
-        assert len(set(rows)) == len(rows)
+        run_sweep(figure_preset("fig3"))
+        assert sum(sizes) == 921
+        assert max(sizes) == protocol._BATCH_ROWS
+        assert len(sizes) == -(-921 // protocol._BATCH_ROWS)
 
     def test_fig5_builds_no_cascade_config(self, monkeypatch):
         # the rows of a batch share one CascadeSchedule per evaluation; no
@@ -390,15 +506,20 @@ class TestPrunedDepthScan:
         assert can_win(0.0, 4, None)
 
     def test_zero_rates_keep_the_smallest_depth(self, monkeypatch):
-        # every rate is 0; looser bounds that grow with n make the scan start
-        # at the deepest depth, and the tie must still go to n = 0
+        # every rate is 0; looser bounds that grow with n, with the key
+        # fraction or without it, make the scan start at the deepest depth,
+        # and the tie must still go to n = 0
         monkeypatch.setattr(
-            protocol.ChainPlan, "skr_bounds", lambda plan: [1.0 + c.n for c in plan.configs]
+            protocol.ChainPlan,
+            "skr_bounds",
+            lambda plan, key=None: [1.0 + c.n for c in plan.configs],
         )
+        seen = record_point_depths(monkeypatch)
         n, _, point = optimize_depth(
             100.0, hcf_profile(), 0.5, 0.0, 1.0, 1e-3, m=8, n_range=(3, 0, 1, 2)
         )
         assert (n, point.skr_pcu) == (0, 0.0)
+        assert [depth for *_, depth in seen] == [3, 2, 1, 0]
 
 
 class TestCli:
