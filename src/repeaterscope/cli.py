@@ -28,7 +28,7 @@ from .channel import (
     elementary_success,
     select_wavelength,
 )
-from .protocol import ProtocolConfig, plan_chains
+from .protocol import ChainPlan, ProtocolConfig, build_schedule
 from .states import NoiseParams, key_fraction
 
 EXIT_CONFIG = 2
@@ -110,8 +110,10 @@ def _chain_payload(args: argparse.Namespace) -> dict:
         m=args.m,
         f_th=args.f_th,
     )
-    plan = plan_chains([config])
-    point = plan.evaluate()[0]
+    choice = select_wavelength(medium, budget)
+    trace = build_schedule(config)
+    plan = ChainPlan.from_trace(config, (choice,), trace)
+    point = plan.evaluate([0], {})[0]
     payload = {
         "medium": medium.name,
         "n": point.n,
@@ -141,13 +143,12 @@ def _chain_payload(args: argparse.Namespace) -> dict:
                 "distill_success": step.distill_success,
                 "post_fidelity": step.fidelity,
             }
-            for step in plan.trace.steps
+            for step in trace.steps
         ]
     if args.oracle:
         from .oracle import MonteCarloConfig, mc_cascade
 
-        _, pi0 = plan.choices[0]
-        cc = CascadeConfig(**dataclasses.asdict(plan.schedule), pi0=pi0)
+        cc = CascadeConfig(**dataclasses.asdict(plan.schedule), pi0=choice[1])
         mc = mc_cascade(cc, MonteCarloConfig(trials=args.trials, seed=args.seed))
         comp, comp_se = mc.completion_estimate()
         payload["oracle"] = {

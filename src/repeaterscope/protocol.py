@@ -13,7 +13,6 @@ elementary links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import metrics
@@ -106,8 +105,8 @@ class PerformancePoint:
     l0_km: float
     n: int
     m: int
-    mass_defect: float = 0.0
-    diagnostic: str | None = None
+    mass_defect: float
+    diagnostic: str | None
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,22 @@ def build_schedule(config: ProtocolConfig) -> LevelTrace:
 
 def evaluate_chain(config: ProtocolConfig) -> PerformancePoint:
     """Full evaluation: wavelength choice, schedule, count recursion, SKR."""
-    return plan_chains([config]).evaluate()[0]
+    choice = select_wavelength(config.medium, config.budget)
+    return ChainPlan.from_trace(config, (choice,), build_schedule(config)).evaluate([0], {})[0]
+
+
+def skr_bounds(
+    config: ProtocolConfig, choices: Sequence[tuple[int, float]], key: float
+) -> list[float]:
+    """Each chain's SKR upper bound ``pi0 * key / 2**n``, formed as
+    ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves it).
+
+    At the schedule's key fraction a computed ``skr_pcu`` stays within 1e-12
+    relative of the bound.  A key fraction is at most 1, so ``key=1.0``
+    gives a looser bound, never below the tight one, that needs no schedule.
+    """
+    channel_uses = config.m * (1 << config.n)
+    return [end_pairs_bound(config.m, pi0) * key / channel_uses for _, pi0 in choices]
 
 
 # rows of one ``run_cascade_batch`` call: a batch holds a (rows, m + 1)
@@ -184,76 +198,57 @@ _BATCH_ROWS = 16
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """Chains that share one schedule, planned but not yet evaluated.
+    """Chains of one depth that share one schedule, planned.
 
-    Holds each chain's wavelength choice ``(wavelength_nm, pi0)``.  The
-    shared schedule (``trace``), its end state's key fraction (``key``) and
-    its count-recursion ``schedule`` are computed once each, on first use, so
-    a caller that needs only the schedule-free bound ``skr_bounds(key=1.0)``
-    never builds the schedule.
+    ``config`` holds the inputs the chains share: depth, width, threshold,
+    noise, spacing and signal velocity; its medium and link budget are those
+    of one chain, and the others differ only there.  ``choices`` holds each
+    chain's wavelength choice ``(wavelength_nm, pi0)``.  Of the schedule the
+    plan keeps only what evaluation reads: the count-recursion ``schedule``,
+    the ``end_state`` and its key fraction ``key``.
     """
 
-    configs: tuple[ProtocolConfig, ...]
+    config: ProtocolConfig
     choices: tuple[tuple[int, float], ...]
+    schedule: CascadeSchedule
+    end_state: BellDiagonal
+    key: float
 
-    @cached_property
-    def trace(self) -> LevelTrace:
-        return build_schedule(self.configs[0])
-
-    @cached_property
-    def key(self) -> float:
-        return key_fraction(self.trace.end_state)
-
-    @cached_property
-    def schedule(self) -> CascadeSchedule:
-        """The count-recursion schedule every chain of the plan shares."""
-        head, trace = self.configs[0], self.trace
-        return CascadeSchedule(head.n, head.m, trace.distill_flags, trace.distill_success)
-
-    def skr_bounds(self, key: float | None = None) -> list[float]:
-        """Each chain's SKR upper bound ``pi0 * key / 2**n``, formed as
-        ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves it).
-
-        ``key`` defaults to the schedule's key fraction; a computed
-        ``skr_pcu`` stays within 1e-12 relative of that bound.  A key
-        fraction is at most 1, so ``key=1.0`` gives a looser bound, never
-        below the tight one, that needs no schedule.
-        """
-        key = self.key if key is None else key
-        return [
-            end_pairs_bound(c.m, pi0) * key / (c.m * (1 << c.n))
-            for c, (_, pi0) in zip(self.configs, self.choices)
-        ]
+    @classmethod
+    def from_trace(
+        cls, config: ProtocolConfig, choices: Sequence[tuple[int, float]], trace: LevelTrace
+    ) -> ChainPlan:
+        """The plan of chains whose shared schedule is ``trace``
+        (``build_schedule(config)``)."""
+        schedule = CascadeSchedule(config.n, config.m, trace.distill_flags, trace.distill_success)
+        return cls(config, tuple(choices), schedule, trace.end_state, key_fraction(trace.end_state))
 
     def evaluate(
-        self,
-        rows: Sequence[int] | None = None,
-        outcomes: dict[CascadeSchedule, dict[float, RowOutcome]] | None = None,
+        self, rows: Sequence[int], outcomes: dict[CascadeSchedule, dict[float, RowOutcome]]
     ) -> list[PerformancePoint]:
-        """Evaluate the chains at ``rows`` (all by default); each point is the
-        same whatever else is evaluated with it.
+        """Evaluate the chains at ``rows``; each point is the same whatever
+        else is evaluated with it.
 
         The rows are ``pi0``s of the plan's one ``schedule``.  ``outcomes``
         maps a schedule to the outcomes of its count-recursion rows by
         ``pi0``; the rows it lacks are run first (``run_rows``) and added.
         """
-        rows = range(len(self.configs)) if rows is None else rows
-        outcomes = {} if outcomes is None else outcomes
         run_rows([(self, rows)], outcomes)
         known = outcomes[self.schedule]
+        config = self.config
+        # normalize by all channel uses of the burst: M attempts on each of
+        # the N elementary links
+        channel_uses = config.m * (1 << config.n)
         points = []
         for b in rows:
-            config, (wavelength, pi0) = self.configs[b], self.choices[b]
+            wavelength, pi0 = self.choices[b]
             outcome = known[pi0]
             reason = outcome.certain_reset
-            # normalize by all channel uses of the burst: M attempts on each
-            # of the N elementary links
-            channel_uses = config.m * (1 << config.n)
             points.append(PerformancePoint(
                 skr_pcu=outcome.expected_end_pairs * self.key / channel_uses,
                 expected_end_pairs=outcome.expected_end_pairs,
                 completion_prob=outcome.completion_prob,
-                end_state=self.trace.end_state,
+                end_state=self.end_state,
                 ops=outcome.ops,
                 wavelength_used_nm=wavelength,
                 l0_km=config.budget.l0_km,
@@ -298,18 +293,3 @@ def run_rows(
                     mass_defect=float(batch.mass_defect[j].max()),
                     certain_reset=batch.certain_reset[j],
                 )
-
-
-def plan_chains(configs: Sequence[ProtocolConfig]) -> ChainPlan:
-    """Plan chains that share one schedule: the same depth, width, threshold,
-    noise, spacing and signal velocity.  Such chains differ only in their
-    elementary success probability, so one schedule serves them all.  Only
-    the wavelengths are chosen here; the plan builds the schedule on first
-    use."""
-    def schedule_inputs(c: ProtocolConfig) -> tuple:
-        return (c.n, c.m, c.f_th, c.noise, c.budget.l0_km, c.medium.signal_velocity_kms)
-
-    if any(schedule_inputs(c) != schedule_inputs(configs[0]) for c in configs[1:]):
-        raise ValueError("chains of one batch must share their schedule inputs")
-    return ChainPlan(tuple(configs), tuple(select_wavelength(c.medium, c.budget) for c in configs))
-

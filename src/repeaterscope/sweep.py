@@ -23,6 +23,7 @@ from .channel import (
     MediumProfile,
     conversion_threshold,
     default_media,
+    select_wavelength,
 )
 from .cascade import CascadeSchedule, InvariantError
 from .protocol import (
@@ -30,9 +31,10 @@ from .protocol import (
     PerformancePoint,
     ProtocolConfig,
     RowOutcome,
+    build_schedule,
     check_depth,
-    plan_chains,
     run_rows,
+    skr_bounds,
 )
 from .states import NoiseParams
 
@@ -126,7 +128,12 @@ def _wins(skr: float, n: int, held: PerformancePoint | None) -> bool:
     return held is None or not (skr < held.skr_pcu or (skr == held.skr_pcu and n > held.n))
 
 
-def _depth_plans(
+# a depth of one group before planning: the config its points share and
+# each point's wavelength choice ``(wavelength_nm, pi0)``
+_Depth = tuple[ProtocolConfig, tuple[tuple[int, float], ...]]
+
+
+def _group_depths(
     points: list[tuple[MediumProfile, float, float]],
     total_distance_km: float,
     t2_s: float,
@@ -134,61 +141,57 @@ def _depth_plans(
     f_th: float,
     m: int,
     n_range: tuple[int, ...],
-) -> list[ChainPlan]:
-    """One plan per depth of one group: its ``(medium, conv_eff,
-    eta_hardware)`` points, which share their media's signal velocity, the
-    distance, T2 and gate error, and so one schedule at each depth."""
+) -> list[_Depth]:
+    """The depths of one group: its ``(medium, conv_eff, eta_hardware)``
+    points share their media's signal velocity, the distance, T2 and gate
+    error, and so one schedule at each depth.  Each depth has one config,
+    the first point's; the points differ only in medium and link budget."""
     noise = NoiseParams(eps_g, t2=t2_s)
-    return [
-        plan_chains([
-            ProtocolConfig(
-                medium=medium,
-                # total / 2**n exactly
-                budget=LinkBudget(
-                    eta_hardware=eta_hw, conv_eff=conv, l0_km=math.ldexp(total_distance_km, -n)
-                ),
-                noise=noise,
-                n=n,
-                m=m,
-                f_th=f_th,
-            )
-            for medium, conv, eta_hw in points
-        ])
-        for n in n_range
-    ]
+    depths = []
+    for n in n_range:
+        l0 = math.ldexp(total_distance_km, -n)  # total / 2**n exactly
+        budgets = [
+            LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0) for _, conv, eta_hw in points
+        ]
+        config = ProtocolConfig(points[0][0], budgets[0], noise, n, m, f_th)
+        choices = tuple(select_wavelength(p[0], budget) for p, budget in zip(points, budgets))
+        depths.append((config, choices))
+    return depths
 
 
-def _push(heap: list, plan: ChainPlan, bounds: list[float], planned: bool) -> None:
+def _push(heap: list, depth: _Depth, plan: ChainPlan | None, bounds: list[float]) -> None:
     # a NaN bound sorts first, so that its depth is planned, evaluated and
     # rejected; a group's heap holds one entry per depth, so (-top, n) is
-    # unique and the plans are never compared
+    # unique and the rest of the entry is never compared
     top = max(math.inf if math.isnan(b) else b for b in bounds)
-    heapq.heappush(heap, (-top, plan.configs[0].n, planned, plan, bounds))
+    heapq.heappush(heap, (-top, depth[0].n, depth, plan, bounds))
 
 
 def _next_depth(heap: list, best: list) -> tuple[ChainPlan, list[int]] | None:
     """Pop a group's depths until a planned one at which some point can still
     win, and return its plan and those points; ``None`` once none is left.
 
-    A depth is first keyed by its schedule-free bound (``skr_bounds(key=1.0)``)
-    and dropped if no point can win under it; otherwise its schedule is
-    built and it goes back under its SKR bound, which is never larger.  So
-    planned depths leave in the order of a scan over every depth by
-    descending SKR bound, and each is evaluated at the same points.
+    A depth is first keyed by its schedule-free bound (``skr_bounds`` at key
+    1) and dropped if no point can win under it; otherwise its schedule is
+    built, it is planned, and it goes back under its SKR bound, which is
+    never larger.  So planned depths leave in the order of a scan over every
+    depth by descending SKR bound, and each is evaluated at the same points.
     """
     while heap:
-        _, n, planned, plan, bounds = heapq.heappop(heap)
+        _, n, depth, plan, bounds = heapq.heappop(heap)
         live = [i for i, bound in enumerate(bounds) if _wins(bound * _BOUND_SLACK, n, best[i])]
-        if live and planned:
+        if live and plan:
             return plan, live
         if live:
-            _push(heap, plan, plan.skr_bounds(), planned=True)
+            config, choices = depth
+            plan = ChainPlan.from_trace(config, choices, build_schedule(config))
+            _push(heap, depth, plan, skr_bounds(config, choices, plan.key))
     return None
 
 
-def _scan_depths(groups: Iterable[list[ChainPlan]]) -> list[list[PerformancePoint]]:
-    """The SKR argmax over depth for each point of each group (its plans,
-    one per depth); ties keep the smaller n.
+def _scan_depths(groups: Iterable[list[_Depth]]) -> list[list[PerformancePoint]]:
+    """The SKR argmax over depth for each point of each group (its depths);
+    ties keep the smaller n.
 
     A depth is evaluated only for the points its SKR bound lets win, and
     depths are scanned from the largest bound down (``_next_depth``), so the
@@ -196,16 +199,15 @@ def _scan_depths(groups: Iterable[list[ChainPlan]]) -> list[list[PerformancePoin
     and most schedules never built.  All groups step together: each takes
     its next depth, the count-recursion rows of the step run once per
     schedule (``protocol.run_rows``), and each group keeps its winners.
-    A plan, with its schedule, is freed once its depth leaves the scan,
-    unless ``groups`` holds it.
+    A plan is freed once its depth leaves the scan.
     """
     heaps, best = [], []
-    for plans in groups:
+    for depths in groups:
         heap: list = []
-        for plan in plans:
-            _push(heap, plan, plan.skr_bounds(key=1.0), planned=False)
+        for depth in depths:
+            _push(heap, depth, None, skr_bounds(*depth, key=1.0))
         heaps.append(heap)
-        best.append([None] * len(plans[0].configs))
+        best.append([None] * len(depths[0][1]))
     outcomes: dict[CascadeSchedule, dict[float, RowOutcome]] = {}
     active = range(len(heaps))
     while active:
@@ -260,8 +262,9 @@ def run_sweep(
     together.  One depth scan steps all groups together (``_scan_depths``),
     builds a depth's schedule only once its schedule-free bound can win, and
     runs each distinct count-recursion row once per call, in batches shared
-    by every group that needs the row's schedule.  ``threads`` is accepted
-    for compatibility and has no effect.
+    by every group that needs the row's schedule.  ``threads`` has no
+    effect; it stays because the benchmark's ``fig5_threaded`` workload and
+    ``perfbench/checks.py`` pass it.
     """
     table = {**default_media(), **(media_profiles or {})}
     for name in spec.media:
@@ -281,7 +284,7 @@ def run_sweep(
         name, dist, _, _, t2, eps = key
         groups.setdefault((table[name].signal_velocity_kms, dist, t2, eps), []).append(key)
     found = _scan_depths(
-        _depth_plans(
+        _group_depths(
             [(table[name], conv, eta_hw) for name, _, conv, eta_hw, _, _ in members],
             dist, t2, eps, spec.f_th, spec.m, spec.n_range,
         )

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repeaterscope import protocol
 from repeaterscope.cascade import end_pairs_bound
+from repeaterscope.channel import select_wavelength
 from repeaterscope.states import BellDiagonal
 
 
@@ -69,3 +71,11 @@ def assert_end_pairs_bounded(batch, schedule, pi0):
         for i in range(schedule.n):
             assert means[b, i + 1] <= means[b, i] * (1.0 + slack), (i, means[b])
         assert means[b, -1] == pytest.approx(batch.expected_end_pairs[b], rel=1e-9, abs=1e-300)
+
+
+def plan_of(configs):
+    """The plan of chains that share their schedule inputs, each with its
+    own config: the first config's schedule, and each chain's wavelength."""
+    head = configs[0]
+    choices = [select_wavelength(c.medium, c.budget) for c in configs]
+    return protocol.ChainPlan.from_trace(head, choices, protocol.build_schedule(head))

@@ -108,6 +108,59 @@ def test_preset_matches_golden(name):
     assert not moves, f"{len(moves)} cells outside tolerance:\n" + "\n".join(described)
 
 
+# the sign of SKR's change along each preset axis: it never rises with
+# distance or gate error, and never falls with conversion, hardware
+# efficiency or memory time
+SKR_DIRECTION = {"total_distance_km": -1, "eps_g": -1, "conv_eff": 1, "eta_hardware": 1, "t2_s": 1}
+
+
+def monotonicity_breaks(rows: list[dict[str, str]]) -> tuple[int, list[tuple[str, dict, dict]]]:
+    """The number of neighbouring row pairs along each axis of
+    ``SKR_DIRECTION`` (every other column held), and ``(axis, lower, upper)``
+    for each pair whose SKR moves against that direction."""
+    pairs, breaks = 0, []
+    for axis, sign in SKR_DIRECTION.items():
+        held = ["medium", *(a for a in SKR_DIRECTION if a != axis)]
+        lines: dict[tuple, list] = {}
+        for row in rows:
+            lines.setdefault(tuple(row[a] for a in held), []).append(row)
+        for line in lines.values():
+            line.sort(key=lambda row: float(row[axis]))
+            for lower, upper in zip(line, line[1:]):
+                pairs += 1
+                if sign * (float(upper["skr_pcu"]) - float(lower["skr_pcu"])) < 0:
+                    breaks.append((axis, lower, upper))
+    return pairs, breaks
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_golden_skr_is_monotone_along_every_axis(name):
+    pairs, breaks = monotonicity_breaks(_parse((GOLDEN_DIR / f"{name}.csv").read_text()))
+    assert pairs > 0
+    assert breaks == []
+
+
+@pytest.mark.slow
+def test_skr_curves_has_one_monotonicity_break():
+    # SMF at conv 0.5, T2 0.1 s and eps_g 1e-2 gains SKR from 550 to 600 km,
+    # both at n = 3: at 600 km the recursion renormalizes away a per-segment
+    # mass defect of 0.76, which it counts as neither a pair nor a reset
+    rows = _parse(rows_to_csv(run_sweep(figure_preset("skr_curves"))))
+    pairs, breaks = monotonicity_breaks(rows)
+    assert pairs == 2004
+    ((axis, lower, upper),) = breaks
+    assert axis == "total_distance_km"
+    assert {k: float(lower[k]) for k in ("conv_eff", "eta_hardware", "t2_s", "eps_g")} == {
+        "conv_eff": 0.5, "eta_hardware": 1.0, "t2_s": 0.1, "eps_g": 1e-2,
+    }
+    assert lower["medium"] == upper["medium"] == "SMF"
+    assert (float(lower["total_distance_km"]), float(upper["total_distance_km"])) == (550.0, 600.0)
+    assert lower["best_n"] == upper["best_n"] == "3"
+    assert float(lower["skr_pcu"]) == pytest.approx(4.245e-5, rel=1e-3)
+    assert float(upper["skr_pcu"]) == pytest.approx(5.137e-5, rel=1e-3)
+    assert float(upper["mass_defect"]) == pytest.approx(0.759, abs=1e-3)
+
+
 @pytest.mark.parametrize("wavelength", ["1550", "780"])
 def test_couple_matches_golden(wavelength, tmp_path):
     out = tmp_path / "couple.csv"

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeaterscope import protocol
 from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.channel import LinkBudget, hcf_profile, select_wavelength, smf_profile
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
@@ -13,7 +12,7 @@ from repeaterscope.protocol import (
     ProtocolConfig,
     build_schedule,
     evaluate_chain,
-    plan_chains,
+    skr_bounds,
     wait_time,
 )
 from repeaterscope.states import (
@@ -25,7 +24,7 @@ from repeaterscope.states import (
     swap,
 )
 
-from conftest import assert_end_pairs_bounded
+from conftest import assert_end_pairs_bounded, plan_of
 
 HCF = hcf_profile()
 SMF = smf_profile()
@@ -199,7 +198,7 @@ def chain_configs(draw):
 
 
 class TestSkrBound:
-    """``ChainPlan.skr_bounds`` against the evaluated chain, and the end-pair
+    """``protocol.skr_bounds`` against the evaluated chain, and the end-pair
     bound on the recursion input the chain builds."""
 
     @settings(max_examples=40, deadline=None)
@@ -208,10 +207,10 @@ class TestSkrBound:
     @example(make_config(eps=1e-4, t2=1e-12, n=6, m=1024, f_th=0.5))
     @example(make_config(m=1, n=12, l0=0.5))
     def test_skr_within_bound(self, config):
-        plan = plan_chains([config])
-        (loose,) = plan.skr_bounds(key=1.0)
-        (bound,) = plan.skr_bounds()
-        (point,) = plan.evaluate()
+        plan = plan_of([config])
+        (loose,) = skr_bounds(config, plan.choices, key=1.0)
+        (bound,) = skr_bounds(config, plan.choices, plan.key)
+        (point,) = plan.evaluate([0], {})
         assert 0.0 <= point.skr_pcu <= bound * (1.0 + 1e-12)
         assert bound <= loose
         assert point == evaluate_chain(config)
@@ -221,23 +220,9 @@ class TestSkrBound:
             batch = run_cascade_batch(schedule, [pi0])
         assert_end_pairs_bounded(batch, schedule, [pi0])
 
-    def test_schedule_is_built_once_on_first_use(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(
-            protocol, "build_schedule", lambda c: built.append(c) or build_schedule(c)
-        )
-        plan = plan_chains([make_config(conv=c, n=3, m=64) for c in (0.5, 1.0)])
-        plan.skr_bounds(key=1.0)
-        assert built == []
-        schedule = plan.schedule
-        plan.evaluate()
-        assert plan.skr_bounds() == plan.skr_bounds()
-        assert plan.schedule is schedule
-        assert built == [plan.configs[0]]
-
     def test_evaluating_a_subset_leaves_rows_unchanged(self):
         configs = [make_config(conv=c, n=3, m=64, eps=1e-2, f_th=0.99) for c in (0.3, 0.5, 0.7, 1.0)]
-        plan = plan_chains(configs)
-        assert plan.trace.distill_flags[0]
-        full = plan.evaluate()
-        assert plan.evaluate([3, 1]) == [full[3], full[1]]
+        plan = plan_of(configs)
+        assert plan.schedule.distill_flags[0]
+        full = plan.evaluate(range(4), {})
+        assert plan.evaluate([3, 1], {}) == [full[3], full[1]]

@@ -18,7 +18,7 @@ from repeaterscope.channel import (
     hcf_profile,
     smf_profile,
 )
-from repeaterscope.protocol import ProtocolConfig, evaluate_chain, plan_chains
+from repeaterscope.protocol import ProtocolConfig, evaluate_chain
 from repeaterscope.states import NoiseParams
 from repeaterscope.sweep import (
     SweepSpec,
@@ -28,6 +28,8 @@ from repeaterscope.sweep import (
     run_sweep,
     spec_from_dict,
 )
+
+from conftest import plan_of
 
 
 def small_spec(**overrides):
@@ -49,10 +51,10 @@ def optimize_depth(
 ):
     """``(best_n, best_l0, point)`` of one grid point, as the sweep finds it:
     the depth scan over a single group of one point."""
-    plans = sweep._depth_plans(
+    depths = sweep._group_depths(
         [(medium, conv_eff, eta_hardware)], total_distance_km, t2_s, eps_g, f_th, m, n_range
     )
-    point = sweep._scan_depths([plans])[0][0]
+    point = sweep._scan_depths([depths])[0][0]
     return point.n, point.l0_km, point
 
 
@@ -229,7 +231,7 @@ class TestBatchedRowsMatchSingleChains:
             for eta_hw in spec.eta_hardware
         ]
         assert any(protocol.build_schedule(configs[0]).distill_flags)
-        batched = plan_chains(configs).evaluate()
+        batched = plan_of(configs).evaluate(range(len(configs)), {})
         assert batched == [evaluate_chain(c) for c in configs]
         assert any(p.diagnostic for p in batched) == diagnostic
         assert not all(p.diagnostic for p in batched)
@@ -308,7 +310,8 @@ def grid_groups(spec):
 
 def full_scan(spec):
     """The rows of an ascending scan over every depth of ``spec.n_range``,
-    built from ``ChainPlan.evaluate`` alone: ties keep the smaller n."""
+    built from ``ChainPlan.evaluate`` alone, with a config per point: ties
+    keep the smaller n."""
     media, keys, groups = grid_groups(spec)
     best = {}
     for (_, dist, t2, eps), members in groups.items():
@@ -325,7 +328,7 @@ def full_scan(spec):
                 )
                 for name, _, conv, eta_hw, _, _ in members
             ]
-            for key, point in zip(members, plan_chains(configs).evaluate()):
+            for key, point in zip(members, plan_of(configs).evaluate(range(len(configs)), {})):
                 if key not in best or point.skr_pcu > best[key].skr_pcu:
                     best[key] = point
     return [sweep._sweep_row(spec, media[key[0]], key, best[key]) for key in keys]
@@ -339,7 +342,7 @@ def eager_best_depths(points, total_distance_km, t2_s, eps_g, f_th, m, n_range, 
     scan = []
     for n in n_range:
         l0 = math.ldexp(total_distance_km, -n)
-        plan = plan_chains([
+        plan = plan_of([
             ProtocolConfig(
                 medium=medium,
                 budget=LinkBudget(eta_hardware=eta_hw, conv_eff=conv, l0_km=l0),
@@ -350,7 +353,7 @@ def eager_best_depths(points, total_distance_km, t2_s, eps_g, f_th, m, n_range, 
             )
             for medium, conv, eta_hw in points
         ])
-        bounds = plan.skr_bounds()
+        bounds = protocol.skr_bounds(plan.config, plan.choices, plan.key)
         top = max(math.inf if math.isnan(b) else b for b in bounds)
         scan.append((-top, n, plan, bounds))
     scan.sort(key=lambda entry: entry[:2])
@@ -383,14 +386,16 @@ def eager_sweep(spec):
 
 
 def record_point_depths(monkeypatch):
-    """Patch ``ChainPlan.evaluate`` to count each point-depth it evaluates."""
+    """Patch ``ChainPlan.evaluate`` to count each point-depth it evaluates:
+    a point is its place in the plan of its group, which the plan's config
+    (its first point's) names, and the key ends in the depth."""
     seen = collections.Counter()
     real = protocol.ChainPlan.evaluate
 
-    def evaluate(plan, rows=None, outcomes=None):
-        for b in range(len(plan.configs)) if rows is None else rows:
-            c = plan.configs[b]
-            seen[(c.medium.name, c.budget, c.noise, c.n)] += 1
+    def evaluate(plan, rows, outcomes):
+        c = plan.config
+        for b in rows:
+            seen[(c.medium.name, c.budget, c.noise, b, c.n)] += 1
         return real(plan, rows, outcomes)
 
     monkeypatch.setattr(protocol.ChainPlan, "evaluate", evaluate)
@@ -451,7 +456,7 @@ class TestPrunedDepthScan:
             or real_batch(schedule, pi0),
         )
         monkeypatch.setattr(
-            protocol, "build_schedule", lambda c: schedules.append(c.n) or real_schedule(c)
+            sweep, "build_schedule", lambda c: schedules.append(c.n) or real_schedule(c)
         )
         run_sweep(figure_preset("fig5"))
         rows = [row for call in calls for row in call]
@@ -487,6 +492,16 @@ class TestPrunedDepthScan:
         CascadeConfig(n=0, m=1, pi0=0.5)  # the hook sees a config that is built
         assert len(built) == 1
 
+    def test_fig5_builds_one_protocol_config_per_group_depth(self, monkeypatch):
+        # 20 groups x 11 depths; the points of a group share their depth's
+        # config, so the 160 points x 11 depths build no config of their own
+        built = []
+        check = ProtocolConfig.__post_init__
+        monkeypatch.setattr(ProtocolConfig, "__post_init__", lambda c: built.append(c) or check(c))
+        run_sweep(figure_preset("fig5"))
+        assert len(built) == 220
+        assert len({(c.budget.l0_km, c.noise, c.n) for c in built}) == 220
+
     def test_only_a_larger_bound_or_a_tie_at_smaller_n_can_win(self):
         point = optimize_depth(80.0, hcf_profile(), 0.5, 1.0, 1.0, 1e-3, m=16, n_range=(0,))[2]
 
@@ -510,9 +525,9 @@ class TestPrunedDepthScan:
         # fraction or without it, make the scan start at the deepest depth,
         # and the tie must still go to n = 0
         monkeypatch.setattr(
-            protocol.ChainPlan,
+            sweep,
             "skr_bounds",
-            lambda plan, key=None: [1.0 + c.n for c in plan.configs],
+            lambda config, choices, key: [1.0 + config.n] * len(choices),
         )
         seen = record_point_depths(monkeypatch)
         n, _, point = optimize_depth(
