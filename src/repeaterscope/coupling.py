@@ -12,6 +12,7 @@ solve, so they enter as the tabulated facet constants of ``channel``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,6 +68,8 @@ class ModeSolution:
     w: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.v, self.u, self.w))):
+            raise ValueError("mode parameters must be finite")
         if abs(self.u**2 + self.w**2 - self.v**2) > 1e-9:
             raise ValueError("mode parameters violate u^2 + w^2 = v^2")
         if not 0.0 < self.u < SINGLE_MODE_CUTOFF_V:
@@ -83,8 +86,8 @@ class GaussianBeam:
     wavelength_nm: float
 
     def __post_init__(self) -> None:
-        if self.waist_um <= 0.0:
-            raise ValueError("waist must be positive")
+        if not 0.0 < self.waist_um < math.inf:
+            raise ValueError("waist must be positive and finite")
         if not 0.0 < self.wavelength_nm < math.inf:
             raise ValueError("wavelength must be positive and finite")
 
@@ -162,13 +165,18 @@ def mode_field(
     r = np.asarray(r_um, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radius must be non-negative")
-    a = fiber.core_radius_um
+    out = _field(r, fiber.core_radius_um, mode, _mode_constants(fiber, mode)[0])
+    return float(out) if out.ndim == 0 else out
+
+
+def _field(r: np.ndarray, a: float, mode: ModeSolution, clad_scale: float) -> np.ndarray:
+    """``mode_field`` on radii already known to be a non-negative float array."""
     core = r <= a
     clad = ~core
     out = np.empty_like(r)
     out[core] = j0(mode.u * r[core] / a)
-    out[clad] = j0(mode.u) / k0(mode.w) * k0(mode.w * r[clad] / a)
-    return float(out) if out.ndim == 0 else out
+    out[clad] = clad_scale * k0(mode.w * r[clad] / a)
+    return out
 
 
 _TAIL_CUT = math.log(1e16)  # integrand truncated below 1e-16 of its peak
@@ -183,6 +191,24 @@ _EPSREL = 1e-10
 _MAX_PANELS = 300
 
 
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
+    """Half-widths, midpoints and the 24+48 abscissae of the panels (lo, hi)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return half, mid, mid[:, None] + half[:, None] * _NODES
+
+
+@functools.lru_cache(maxsize=64)
+def _first_panels(cuts: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Bounds, half-widths, midpoints and nodes of the panels between the cuts."""
+    lo = np.asarray(cuts[:-1], dtype=float)
+    hi = np.asarray(cuts[1:], dtype=float)
+    arrays = (lo, hi, *_panel_nodes(lo, hi))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _gauss_legendre(fn, cuts) -> float:
     """Adaptive integral of ``fn`` from ``cuts[0]`` to ``cuts[-1]``.
 
@@ -190,17 +216,14 @@ def _gauss_legendre(fn, cuts) -> float:
     at the cuts; every pass evaluates all live panels in one call and bisects
     each whose 24/48-point gap exceeds its width's share of 1e-10 |total|,
     up to 300 panels.  The summed gap is the error estimate that gates the
-    result.
+    result.  The first pass's panels depend only on the cuts and are cached.
     """
-    lo = np.asarray(cuts[:-1], dtype=float)
-    hi = np.asarray(cuts[1:], dtype=float)
+    lo, hi, half, mid, nodes = _first_panels(tuple(cuts))
     span = cuts[-1] - cuts[0]
     done_val = done_err = 0.0
     panels = lo.size
     while True:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        f = fn(mid[:, None] + half[:, None] * _NODES)
+        f = fn(nodes)
         fine = half * (f[:, _COARSE:] @ _FINE_W)
         gap = np.abs(fine - half * (f[:, :_COARSE] @ _COARSE_W))
         val = done_val + fine.sum()
@@ -215,6 +238,7 @@ def _gauss_legendre(fn, cuts) -> float:
         lo, mid, hi = lo[split], mid[split], hi[split]
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         panels += n_split
+        half, mid, nodes = _panel_nodes(lo, hi)
     if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-13):
         raise QuadratureError(f"quadrature failed on ({cuts[0]}, {cuts[-1]})")
     return float(val)
@@ -230,6 +254,40 @@ def _fiber_norm(fiber: StepIndexFiber, mode: ModeSolution) -> float:
     return float(core + clad)
 
 
+@functools.lru_cache(maxsize=64)
+def _mode_constants(fiber: StepIndexFiber, mode: ModeSolution) -> tuple[float, float]:
+    """The cladding field scale J0(u)/K0(w) and ``_fiber_norm``, once per mode."""
+    return j0(mode.u) / k0(mode.w), _fiber_norm(fiber, mode)
+
+
+def _beam_integrand(
+    r: np.ndarray, waist_um: float, fiber: StepIndexFiber, mode: ModeSolution
+) -> np.ndarray:
+    """Untilted overlap integrand: mode field x Gaussian x r."""
+    field = _field(r, fiber.core_radius_um, mode, _mode_constants(fiber, mode)[0])
+    return field * np.exp(-((r / waist_um) ** 2)) * r
+
+
+@functools.lru_cache(maxsize=64)
+def _starting_panels(
+    waist_um: float, fiber: StepIndexFiber, mode: ModeSolution
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """A beam's starting cuts and its untilted integrand on their nodes.
+
+    Every tilt of the beam starts from the same panels, so the first pass of
+    each of its overlaps reuses these values.
+    """
+    a = fiber.core_radius_um
+    r_clad = a * (1.0 + _TAIL_CUT / mode.w + 2.0)
+    r_gauss = waist_um * math.sqrt(_TAIL_CUT)
+    r_max = max(min(r_clad, a + r_gauss), 1.01 * a)
+    # panels cut so that a narrow Gaussian and the core edge are both resolved
+    cuts = tuple(sorted({0.0, min(r_gauss, a), a, r_max}))
+    values = _beam_integrand(_first_panels(cuts)[-1], waist_um, fiber, mode)
+    values.flags.writeable = False
+    return cuts, values
+
+
 def _overlap_from_waist(
     waist_um: float,
     fiber: StepIndexFiber,
@@ -239,24 +297,23 @@ def _overlap_from_waist(
     """Power overlap of a Gaussian of the given waist with the fiber mode.
 
     ``tilt_wavenumber`` is k0 sin(theta); a nonzero value inserts the
-    azimuthally averaged phase-ramp kernel J0(k0 r sin(theta)).
+    azimuthally averaged phase-ramp kernel J0(k0 r sin(theta)).  The first
+    quadrature pass takes the untilted integrand from ``_starting_panels``;
+    refinement passes evaluate it afresh on their nodes.
     """
-    a = fiber.core_radius_um
-    r_clad = a * (1.0 + _TAIL_CUT / mode.w + 2.0)
-    r_gauss = waist_um * math.sqrt(_TAIL_CUT)
-    r_max = max(min(r_clad, a + r_gauss), 1.01 * a)
+    cuts, first = _starting_panels(waist_um, fiber, mode)
+    cached = [first]
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        val = mode_field(r, fiber, mode) * np.exp(-((r / waist_um) ** 2)) * r
+        val = cached.pop() if cached else _beam_integrand(r, waist_um, fiber, mode)
         if tilt_wavenumber != 0.0:
-            val *= j0(tilt_wavenumber * r)
+            val = val * j0(tilt_wavenumber * r)
         return val
 
-    # panels cut so that a narrow Gaussian and the core edge are both resolved
-    num = _gauss_legendre(integrand, sorted({0.0, min(r_gauss, a), a, r_max}))
+    num = _gauss_legendre(integrand, cuts)
     # the Gaussian's power out to r_gauss, where the integrand is 1e-16 of its peak
     gauss_norm = 0.25 * waist_um**2 * -math.expm1(-2.0 * _TAIL_CUT)
-    eta = num * num / (_fiber_norm(fiber, mode) * gauss_norm)
+    eta = num * num / (_mode_constants(fiber, mode)[1] * gauss_norm)
     return min(eta, 1.0)
 
 
@@ -354,8 +411,8 @@ def effective_coupling(
     the string ``"HCF"``) the tabulated constants apply: peak 0.98 at zero
     tilt, 0.79 at the design tolerance.
     """
-    if theta_tol_rad < 0.0:
-        raise ValueError("tilt tolerance must be non-negative")
+    if not 0.0 <= theta_tol_rad < math.inf:
+        raise ValueError("tilt tolerance must be non-negative and finite")
     if isinstance(target, str) and target == "HCF":
         return HCF_PEAK_COUPLING if theta_tol_rad == 0.0 else HCF_COUPLING_AT_TOL
     if not isinstance(target, StepIndexFiber):

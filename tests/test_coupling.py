@@ -98,6 +98,11 @@ class TestCharacteristicEquation:
         with pytest.raises(ValueError):
             ModeSolution(v=2.0, u=1.0, w=1.0)
 
+    def test_non_finite_mode_rejected(self):
+        # NaN slips through every comparison of the u^2 + w^2 = v^2 check
+        with pytest.raises(ValueError):
+            ModeSolution(v=math.nan, u=1.0, w=math.nan)
+
 
 class TestModeField:
     def test_center_value(self):
@@ -181,13 +186,16 @@ class TestOverlap:
         for w in (1.0, 5.0, 8.0, 20.0):
             assert 0.0 <= overlap_eta(GaussianBeam(w, 1550.0), FIBER, MODE) <= 1.0
 
+    @pytest.mark.parametrize("waist", [math.nan, math.inf])
+    def test_non_finite_waist_rejected(self, waist):
+        with pytest.raises(ValueError):
+            GaussianBeam(waist, 1550.0)
+
 
 class TestTilt:
     def test_zero_tilt_equals_overlap(self):
         beam = GaussianBeam(8.0, 1550.0)
-        assert tilted_eta(beam, FIBER, MODE, 0.0) == pytest.approx(
-            overlap_eta(beam, FIBER, MODE), abs=1e-12
-        )
+        assert tilted_eta(beam, FIBER, MODE, 0.0) == overlap_eta(beam, FIBER, MODE)
 
     def test_symmetric_in_angle(self):
         beam = GaussianBeam(8.0, 1550.0)
@@ -205,6 +213,26 @@ class TestTilt:
     def test_large_angle_rejected(self):
         with pytest.raises(ValueError):
             tilted_eta(GaussianBeam(8.0, 1550.0), FIBER, MODE, 0.6)
+
+    def test_tilt_scan_reuses_the_beams_starting_panels(self, monkeypatch):
+        evaluated = []
+        beam_integrand = coupling._beam_integrand
+
+        def counting(r, *args):
+            evaluated.append(r.shape)
+            return beam_integrand(r, *args)
+
+        monkeypatch.setattr(coupling, "_beam_integrand", counting)
+        coupling._starting_panels.cache_clear()
+        w_opt, _ = optimize_waist(FIBER, MODE)
+        searched = len(evaluated)
+        beam = GaussianBeam(w_opt, 1550.0)
+        for theta in np.linspace(0.0, 0.05, 26):
+            tilted_eta(beam, FIBER, MODE, float(theta))
+        # one first-pass evaluation per waist the search tried, and none of
+        # the 26 tilts at the optimum evaluates the field again
+        assert searched == 35
+        assert len(evaluated) == searched
 
 
 class TestFresnel:
@@ -225,6 +253,10 @@ class TestEffectiveCoupling:
     def test_hcf_constants(self):
         assert effective_coupling("HCF", 0.025) == 0.79
         assert effective_coupling("HCF", 0.0) == 0.98
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            effective_coupling("HCF", math.nan)
 
     def test_rejects_anything_but_hcf_or_a_step_index_fiber(self):
         with pytest.raises(TypeError):
@@ -310,6 +342,59 @@ class TestQuadrature:
                 eta = _overlap_from_waist(ratio * a, fiber, mode, tilt_wavenumber=q)
                 ref = _reference_overlap(ratio * a, a, mode, q)
                 assert eta == pytest.approx(ref, rel=1e-9, abs=0.0), (ratio, theta)
+
+    def test_cached_panels_keep_the_plain_integrands_bits(self, monkeypatch):
+        passes = {}
+        gauss_legendre = coupling._gauss_legendre
+
+        def counting(fn, cuts):
+            def counted(r):
+                passes[key] = passes.get(key, 0) + 1
+                return fn(r)
+
+            return gauss_legendre(counted, cuts)
+
+        def plain(waist, fiber, mode, q):
+            # the overlap evaluated with no cache: every pass calls mode_field
+            def integrand(r):
+                val = mode_field(r, fiber, mode) * np.exp(-((r / waist) ** 2)) * r
+                return val * j0(q * r) if q != 0.0 else val
+
+            cuts, _ = coupling._starting_panels(waist, fiber, mode)
+            num = gauss_legendre(integrand, cuts)
+            gauss_norm = 0.25 * waist**2 * -math.expm1(-2.0 * _TAIL_CUT)
+            return min(num * num / (_fiber_norm(fiber, mode) * gauss_norm), 1.0)
+
+        def clear():
+            coupling._starting_panels.cache_clear()
+            coupling._mode_constants.cache_clear()
+            coupling._first_panels.cache_clear()
+
+        for v in GRID_V:
+            for wavelength in GRID_WAVELENGTHS:
+                fiber = _grid_fiber(v, wavelength)
+                mode = fiber_mode(fiber, wavelength)
+                k_free = 2.0 * math.pi / (wavelength * 1e-3)
+                for ratio in GRID_WAIST_OVER_A:
+                    waist = ratio * fiber.core_radius_um
+                    qs = [k_free * math.sin(theta) for theta in GRID_THETAS]
+                    expected = [plain(waist, fiber, mode, q) for q in qs]
+                    monkeypatch.setattr(coupling, "_gauss_legendre", counting)
+                    cold = []
+                    for theta, q in zip(GRID_THETAS, qs):
+                        clear()
+                        key = (v, wavelength, ratio, theta)
+                        cold.append(_overlap_from_waist(waist, fiber, mode, q))
+                    monkeypatch.undo()
+                    warm = [_overlap_from_waist(waist, fiber, mode, q) for q in qs]
+                    clear()
+                    backward = [_overlap_from_waist(waist, fiber, mode, q) for q in qs[::-1]]
+                    assert cold == expected, (v, wavelength, ratio)
+                    assert warm == expected, (v, wavelength, ratio)
+                    assert backward[::-1] == expected, (v, wavelength, ratio)
+        # cases that refine after their cached first pass are in the grid
+        assert passes[(1.0, 780.0, 5.0, 0.45)] > 1
+        assert sum(n > 1 for n in passes.values()) == 42
 
     @pytest.mark.parametrize("v", GRID_V)
     def test_closed_form_fiber_norm(self, v):
