@@ -84,6 +84,9 @@ def _cmd_couple(args: argparse.Namespace) -> None:
 
     if args.points < 1:
         raise ConfigurationError("--points must be at least 1")
+    # the tilt model holds for |theta| < 0.5 rad; NaN fails the comparison
+    if not 0.0 <= args.theta_max < 0.5:
+        raise ConfigurationError(f"--theta-max must lie in [0, 0.5) rad, got {args.theta_max}")
     fiber = coupling.near_cutoff_smf(args.wavelength)
     mode = coupling.fiber_mode(fiber, args.wavelength)
     w_opt, _ = coupling.optimize_waist(fiber, mode)

@@ -338,33 +338,83 @@ def tilted_eta(
     return _overlap_from_waist(beam.waist_um, fiber, mode, tilt_wavenumber=q)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section share of an interval
+_WAIST_RTOL = 1e-7
+
+
+def _bounded_minimum(fn, lo: float, hi: float, rtol: float) -> tuple[float, float]:
+    """Brent's minimizer of ``fn`` on [lo, hi]: (x, fn(x)) at the best x tried.
+
+    Parabolic steps through the three best points, with a golden-section
+    step whenever the parabola leaves the bracket or fails to halve the step
+    before last (Brent 1973, ch. 5).  Every step moves at least
+    ``rtol/2 * |x|``, which is above the sqrt(eps) resolution of function
+    values; the search stops once the bracket lies within ``rtol * |x|`` of
+    x on both sides.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = fn(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = 0.5 * rtol * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                golden = False
+                # never evaluate within tol2 of a bound
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x <= m else -tol1
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def optimize_waist(
     fiber: StepIndexFiber, mode: ModeSolution
 ) -> tuple[float, float]:
-    """Best Gaussian waist for the mode: golden-section search on [0.2a, 5a].
+    """Best Gaussian waist for the mode: Brent's bounded search on [0.2a, 5a].
 
-    Returns (w_opt in um, eta_opt); relative waist tolerance 1e-6.
+    Returns (w_opt in um, eta_opt).  The search stops once the optimum is
+    bracketed within 1e-7 relative of the best waist it has evaluated, and
+    returns that waist with its overlap, so a beam at ``w_opt`` reuses the
+    integrand the search cached for it.
     """
     a = fiber.core_radius_um
-    lo, hi = 0.2 * a, 5.0 * a
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _overlap_from_waist(x1, fiber, mode)
-    f2 = _overlap_from_waist(x2, fiber, mode)
-    while hi - lo > 1e-6 * hi:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _overlap_from_waist(x2, fiber, mode)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _overlap_from_waist(x1, fiber, mode)
-    w_opt = 0.5 * (lo + hi)
-    return w_opt, _overlap_from_waist(w_opt, fiber, mode)
+    w_opt, neg_eta = _bounded_minimum(
+        lambda waist: -_overlap_from_waist(waist, fiber, mode), 0.2 * a, 5.0 * a, _WAIST_RTOL
+    )
+    return w_opt, -neg_eta
 
 
 def fresnel_transmission(n0: float, n1: float) -> float:

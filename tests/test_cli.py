@@ -218,3 +218,13 @@ def test_couple_without_points_exits_2(capsys):
     # the CSV header comes from the first row, so a scan needs one angle
     assert cli.main(["couple", "--points", "0"]) == 2
     assert "--points must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta_max", ["nan", "inf", "-0.1", "0.5"])
+def test_couple_theta_max_outside_the_tilt_model_exits_2(theta_max, tmp_path, capsys):
+    # the flag is checked once, before any mode solve, and named in the message
+    out = tmp_path / "couple.csv"
+    assert cli.main(["couple", "--theta-max", theta_max, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --theta-max must lie in [0, 0.5) rad")
+    assert not out.exists()

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 from scipy.special import j0, k0
 
 from repeaterscope import cli, coupling
@@ -39,6 +40,19 @@ FIBER = near_cutoff_smf(1550.0)
 # a physical telecom fiber: 4.1 um core, NA 0.117
 SMF28 = StepIndexFiber(4.1, SILICA_INDEX, math.sqrt(SILICA_INDEX**2 - 0.117**2))
 MODE = fiber_mode(FIBER, 1550.0)
+
+# fibers from far below to the single-mode cutoff, checked against QUADPACK
+GRID_V = (0.6, 1.0, 1.6, 2.0, 2.4048)
+GRID_WAVELENGTHS = (780.0, 1550.0)
+GRID_WAIST_OVER_A = (0.2, 1.0, 5.0)
+GRID_THETAS = (0.0, 0.05, 0.2, 0.45)
+GRID_NA = 0.1
+
+
+def _grid_fiber(v: float, wavelength: float) -> StepIndexFiber:
+    a = v * wavelength * 1e-3 / (2.0 * math.pi * GRID_NA)
+    return StepIndexFiber(a, 1.45, math.sqrt(1.45**2 - GRID_NA**2))
+
 
 
 class TestNormalizedFrequency:
@@ -182,6 +196,23 @@ class TestOverlap:
         assert abs(grid[best] - w_opt) < 1e-2
         assert etas[best] == pytest.approx(eta_opt, abs=1e-4)
 
+    @pytest.mark.parametrize("wavelength", GRID_WAVELENGTHS)
+    @pytest.mark.parametrize("v", GRID_V)
+    def test_waist_meets_stationarity_reference(self, v, wavelength):
+        fiber = _grid_fiber(v, wavelength)
+        mode = fiber_mode(fiber, wavelength)
+        a = fiber.core_radius_um
+        w_opt, _ = optimize_waist(fiber, mode)
+        if v <= 1.0:
+            # the overlap still rises at the upper bound, which is the optimum
+            assert _stationarity(5.0 * a, a, mode) > 0.0
+            reference = 5.0 * a
+        else:
+            reference = brentq(
+                _stationarity, 0.2 * a, 5.0 * a, args=(a, mode), xtol=1e-15 * a, rtol=1e-15
+            )
+        assert abs(w_opt - reference) <= 1e-7 * reference
+
     def test_bounded_by_one(self):
         for w in (1.0, 5.0, 8.0, 20.0):
             assert 0.0 <= overlap_eta(GaussianBeam(w, 1550.0), FIBER, MODE) <= 1.0
@@ -218,9 +249,9 @@ class TestTilt:
         evaluated = []
         beam_integrand = coupling._beam_integrand
 
-        def counting(r, *args):
-            evaluated.append(r.shape)
-            return beam_integrand(r, *args)
+        def counting(r, waist, *args):
+            evaluated.append(waist)
+            return beam_integrand(r, waist, *args)
 
         monkeypatch.setattr(coupling, "_beam_integrand", counting)
         coupling._starting_panels.cache_clear()
@@ -229,9 +260,10 @@ class TestTilt:
         beam = GaussianBeam(w_opt, 1550.0)
         for theta in np.linspace(0.0, 0.05, 26):
             tilted_eta(beam, FIBER, MODE, float(theta))
-        # one first-pass evaluation per waist the search tried, and none of
-        # the 26 tilts at the optimum evaluates the field again
-        assert searched == 35
+        # one first-pass evaluation per waist the search tried; the optimum
+        # is one of them, so none of the 26 tilts evaluates the field again
+        assert searched == 14
+        assert w_opt in evaluated
         assert len(evaluated) == searched
 
 
@@ -282,18 +314,6 @@ class TestEffectiveCoupling:
 # quadrature against QUADPACK, one scalar callback per point
 # ---------------------------------------------------------------------------
 
-GRID_V = (0.6, 1.0, 1.6, 2.0, 2.4048)
-GRID_WAVELENGTHS = (780.0, 1550.0)
-GRID_WAIST_OVER_A = (0.2, 1.0, 5.0)
-GRID_THETAS = (0.0, 0.05, 0.2, 0.45)
-GRID_NA = 0.1
-
-
-def _grid_fiber(v: float, wavelength: float) -> StepIndexFiber:
-    a = v * wavelength * 1e-3 / (2.0 * math.pi * GRID_NA)
-    return StepIndexFiber(a, 1.45, math.sqrt(1.45**2 - GRID_NA**2))
-
-
 def _quad(fn, lo: float, hi: float) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -311,6 +331,26 @@ def _reference_fiber_norm(a: float, mode: ModeSolution) -> float:
         return _field(r, a, mode) ** 2 * r
 
     return _quad(power, 0.0, a) + _quad(power, a, math.inf)
+
+
+def _stationarity(waist: float, a: float, mode: ModeSolution) -> float:
+    """The overlap's waist derivative up to a positive factor, with QUADPACK.
+
+    d ln(eta)/dw = 0 where the overlap numerator N satisfies w N'(w) = N(w),
+    that is where the integral of F(r) exp(-r^2/w^2) r (2 r^2/w^2 - 1)
+    vanishes; it is positive while the overlap still rises with the waist.
+    """
+
+    def integrand(r):
+        s = (r / waist) ** 2
+        return _field(r, a, mode) * math.exp(-s) * r * (2.0 * s - 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return sum(
+            quad(integrand, lo, hi, epsabs=0.0, epsrel=1.2e-14, limit=500)[0]
+            for lo, hi in ((0.0, a), (a, math.inf))
+        )
 
 
 def _reference_overlap(waist: float, a: float, mode: ModeSolution, q: float) -> float:
@@ -424,13 +464,10 @@ class TestQuadrature:
         assert "numeric failure" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def _printed_by_fresh_interpreter(code: str) -> list[str]:
+    """What ``code`` prints in a new interpreter that imports this source tree."""
     src = pathlib.Path(coupling.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    code = (
-        "import sys, repeaterscope.cli; "
-        "print('scipy.integrate' in sys.modules, 'repeaterscope.coupling' in sys.modules)"
-    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -439,5 +476,22 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         check=True,
         timeout=120,
     )
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    printed = _printed_by_fresh_interpreter(
+        "import sys, repeaterscope.cli; "
+        "print('scipy.integrate' in sys.modules, 'repeaterscope.coupling' in sys.modules)"
+    )
     # only ``couple`` loads the mode solver
-    assert done.stdout.split() == ["False", "False"]
+    assert printed == ["False", "False"]
+
+
+def test_coupling_import_leaves_scipy_optimize_unloaded():
+    # the waist search is written in-house: importing scipy.optimize would add
+    # a fifth of a second or more to every ``couple`` run
+    printed = _printed_by_fresh_interpreter(
+        "import sys, repeaterscope.coupling; print('scipy.optimize' in sys.modules)"
+    )
+    assert printed == ["False"]
