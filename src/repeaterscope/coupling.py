@@ -352,6 +352,8 @@ def _bounded_minimum(fn, lo: float, hi: float, rtol: float) -> tuple[float, floa
     values; the search stops once the bracket lies within ``rtol * |x|`` of
     x on both sides.
     """
+    # Brent's names: [a, b] brackets the minimum; x is the best point, w the
+    # second best and v the previous w; d is the last step, e the one before
     a, b = lo, hi
     x = w = v = a + _GOLDEN_STEP * (b - a)
     fx = fw = fv = fn(x)

@@ -153,7 +153,12 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
         pytest.param(["chain", "--l0", "inf"], "spacing", id="chain-l0-inf"),
         pytest.param(["couple", "--wavelength", "nan"], "wavelength", id="couple-wavelength-nan"),
         pytest.param(["couple", "--wavelength", "inf"], "wavelength", id="couple-wavelength-inf"),
-        pytest.param(["couple", "--theta-max", "nan"], "theta", id="couple-theta-nan"),
+        # --theta-max is checked once, against the tilt model's [0, 0.5) rad
+        *[
+            pytest.param(["couple", "--theta-max", value], "--theta-max must lie in [0, 0.5) rad",
+                         id=f"couple-theta-{name}")
+            for value, name in (("nan", "nan"), ("inf", "inf"), ("-0.1", "minus-0.1"), ("0.5", "0.5"))
+        ],
         pytest.param(_sweep(total_distance_km=[math.nan]), "total distances",
                      id="sweep-distance-nan"),
         pytest.param(_sweep(total_distance_km=[math.inf]), "total distances",
@@ -219,12 +224,3 @@ def test_couple_without_points_exits_2(capsys):
     assert cli.main(["couple", "--points", "0"]) == 2
     assert "--points must be at least 1" in capsys.readouterr().err
 
-
-@pytest.mark.parametrize("theta_max", ["nan", "inf", "-0.1", "0.5"])
-def test_couple_theta_max_outside_the_tilt_model_exits_2(theta_max, tmp_path, capsys):
-    # the flag is checked once, before any mode solve, and named in the message
-    out = tmp_path / "couple.csv"
-    assert cli.main(["couple", "--theta-max", theta_max, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: --theta-max must lie in [0, 0.5) rad")
-    assert not out.exists()
