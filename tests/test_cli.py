@@ -223,4 +223,3 @@ def test_couple_without_points_exits_2(capsys):
     # the CSV header comes from the first row, so a scan needs one angle
     assert cli.main(["couple", "--points", "0"]) == 2
     assert "--points must be at least 1" in capsys.readouterr().err
-

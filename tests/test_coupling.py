@@ -54,7 +54,6 @@ def _grid_fiber(v: float, wavelength: float) -> StepIndexFiber:
     return StepIndexFiber(a, 1.45, math.sqrt(1.45**2 - GRID_NA**2))
 
 
-
 class TestNormalizedFrequency:
     def test_inversion(self):
         na = 0.12
