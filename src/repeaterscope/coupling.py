@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0, j1, k0, k1
 
-from .channel import HCF_COUPLING_AT_TOL, HCF_PEAK_COUPLING
+from .channel import HCF_COUPLING_AT_TOL, HCF_PEAK_COUPLING, TELECOM_NM
 
 SINGLE_MODE_CUTOFF_V = 2.404825557695773  # first zero of J0
 MULTIMODE_WARN_V = 2.405
@@ -191,39 +191,29 @@ _EPSREL = 1e-10
 _MAX_PANELS = 300
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
-    """Half-widths, midpoints and the 24+48 abscissae of the panels (lo, hi)."""
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths and the 24+48 abscissae of the panels (lo, hi)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return half, mid, mid[:, None] + half[:, None] * _NODES
+    return half, mid[:, None] + half[:, None] * _NODES
 
 
-@functools.lru_cache(maxsize=64)
-def _first_panels(cuts: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """Bounds, half-widths, midpoints and nodes of the panels between the cuts."""
-    lo = np.asarray(cuts[:-1], dtype=float)
-    hi = np.asarray(cuts[1:], dtype=float)
-    arrays = (lo, hi, *_panel_nodes(lo, hi))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, f: np.ndarray) -> float:
+    """Adaptive integral of ``fn`` over the adjacent panels (lo, hi).
 
-
-def _gauss_legendre(fn, cuts) -> float:
-    """Adaptive integral of ``fn`` from ``cuts[0]`` to ``cuts[-1]``.
-
-    ``fn`` maps an array of abscissae to integrand values.  The panels start
-    at the cuts; every pass evaluates all live panels in one call and bisects
-    each whose 24/48-point gap exceeds its width's share of 1e-10 |total|,
-    up to 300 panels.  The summed gap is the error estimate that gates the
-    result.  The first pass's panels depend only on the cuts and are cached.
+    ``f`` is the first pass: the integrand on the panels' nodes, as
+    ``_panel_nodes`` places them.  Every pass bisects each panel whose
+    24/48-point gap exceeds its width's share of 1e-10 |total|, up to 300
+    panels, and calls ``fn``, which maps an array of abscissae to integrand
+    values, once on the nodes of the halves.  The summed gap is the error
+    estimate that gates the result.
     """
-    lo, hi, half, mid, nodes = _first_panels(tuple(cuts))
-    span = cuts[-1] - cuts[0]
+    start, end = lo[0], hi[-1]
+    span = end - start
+    half = 0.5 * (hi - lo)
     done_val = done_err = 0.0
     panels = lo.size
     while True:
-        f = fn(nodes)
         fine = half * (f[:, _COARSE:] @ _FINE_W)
         gap = np.abs(fine - half * (f[:, :_COARSE] @ _COARSE_W))
         val = done_val + fine.sum()
@@ -235,12 +225,14 @@ def _gauss_legendre(fn, cuts) -> float:
         keep = ~split
         done_val += fine[keep].sum()
         done_err += gap[keep].sum()
-        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (hi + lo)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         panels += n_split
-        half, mid, nodes = _panel_nodes(lo, hi)
+        half, nodes = _panel_nodes(lo, hi)
+        f = fn(nodes)
     if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-13):
-        raise QuadratureError(f"quadrature failed on ({cuts[0]}, {cuts[-1]})")
+        raise QuadratureError(f"quadrature failed on ({start}, {end})")
     return float(val)
 
 
@@ -271,21 +263,25 @@ def _beam_integrand(
 @functools.lru_cache(maxsize=64)
 def _starting_panels(
     waist_um: float, fiber: StepIndexFiber, mode: ModeSolution
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """A beam's starting cuts and its untilted integrand on their nodes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A beam's first quadrature pass: its panels' bounds, their nodes and
+    the untilted integrand on those nodes, all read-only.
 
-    Every tilt of the beam starts from the same panels, so the first pass of
-    each of its overlaps reuses these values.
+    Every tilt of the beam starts from the same panels, so each of its
+    overlaps refines from this pass.
     """
     a = fiber.core_radius_um
     r_clad = a * (1.0 + _TAIL_CUT / mode.w + 2.0)
     r_gauss = waist_um * math.sqrt(_TAIL_CUT)
     r_max = max(min(r_clad, a + r_gauss), 1.01 * a)
     # panels cut so that a narrow Gaussian and the core edge are both resolved
-    cuts = tuple(sorted({0.0, min(r_gauss, a), a, r_max}))
-    values = _beam_integrand(_first_panels(cuts)[-1], waist_um, fiber, mode)
-    values.flags.writeable = False
-    return cuts, values
+    cuts = sorted({0.0, min(r_gauss, a), a, r_max})
+    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+    nodes = _panel_nodes(lo, hi)[1]
+    first = (lo, hi, nodes, _beam_integrand(nodes, waist_um, fiber, mode))
+    for arr in first:
+        arr.flags.writeable = False
+    return first
 
 
 def _overlap_from_waist(
@@ -298,19 +294,18 @@ def _overlap_from_waist(
 
     ``tilt_wavenumber`` is k0 sin(theta); a nonzero value inserts the
     azimuthally averaged phase-ramp kernel J0(k0 r sin(theta)).  The first
-    quadrature pass takes the untilted integrand from ``_starting_panels``;
-    refinement passes evaluate it afresh on their nodes.
+    quadrature pass is the beam's ``_starting_panels`` pass times that
+    kernel; refinement passes evaluate the integrand afresh on their nodes.
     """
-    cuts, first = _starting_panels(waist_um, fiber, mode)
-    cached = [first]
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        val = cached.pop() if cached else _beam_integrand(r, waist_um, fiber, mode)
-        if tilt_wavenumber != 0.0:
-            val = val * j0(tilt_wavenumber * r)
-        return val
+        val = _beam_integrand(r, waist_um, fiber, mode)
+        return val * j0(tilt_wavenumber * r) if tilt_wavenumber != 0.0 else val
 
-    num = _gauss_legendre(integrand, cuts)
+    lo, hi, nodes, first = _starting_panels(waist_um, fiber, mode)
+    if tilt_wavenumber != 0.0:
+        first = first * j0(tilt_wavenumber * nodes)
+    num = _gauss_legendre(integrand, lo, hi, first)
     # the Gaussian's power out to r_gauss, where the integrand is 1e-16 of its peak
     gauss_norm = 0.25 * waist_um**2 * -math.expm1(-2.0 * _TAIL_CUT)
     eta = num * num / (_mode_constants(fiber, mode)[1] * gauss_norm)
@@ -441,27 +436,24 @@ def facet_transmission(fiber: StepIndexFiber) -> float:
 NEAR_CUTOFF_NA = 0.08
 
 
-def near_cutoff_smf(wavelength_nm: float, ar_coated: bool = True) -> StepIndexFiber:
-    """Silica fiber of numerical aperture ``NEAR_CUTOFF_NA`` sized to sit at
-    the single-mode cutoff for the wavelength."""
+def near_cutoff_smf(wavelength_nm: float) -> StepIndexFiber:
+    """AR-coated silica fiber of numerical aperture ``NEAR_CUTOFF_NA`` sized
+    to sit at the single-mode cutoff for the wavelength."""
     if not 0.0 < wavelength_nm < math.inf:
         raise ValueError("wavelength must be positive and finite")
     a = SINGLE_MODE_CUTOFF_V * (wavelength_nm * 1e-3) / (2.0 * math.pi * NEAR_CUTOFF_NA)
     n2 = math.sqrt(SILICA_INDEX**2 - NEAR_CUTOFF_NA**2)
-    return StepIndexFiber(core_radius_um=a, n1=SILICA_INDEX, n2=n2, ar_coated=ar_coated)
+    return StepIndexFiber(core_radius_um=a, n1=SILICA_INDEX, n2=n2, ar_coated=True)
 
 
-def effective_coupling(
-    target: StepIndexFiber | str,
-    theta_tol_rad: float,
-    wavelength_nm: float = 1550.0,
-) -> float:
+def effective_coupling(target: StepIndexFiber | str, theta_tol_rad: float) -> float:
     """End-to-end facet coupling at a given alignment tolerance.
 
     For a step-index fiber this is the tilted mode overlap at the optimal
-    waist times the facet transmission.  For the hollow-core design (pass
-    the string ``"HCF"``) the tabulated constants apply: peak 0.98 at zero
-    tilt, 0.79 at the design tolerance.
+    waist times the facet transmission, at the telecom wavelength
+    ``channel.TELECOM_NM`` that silica links use.  For the hollow-core
+    design (pass the string ``"HCF"``) the tabulated constants apply: peak
+    0.98 at zero tilt, 0.79 at the design tolerance.
     """
     if not 0.0 <= theta_tol_rad < math.inf:
         raise ValueError("tilt tolerance must be non-negative and finite")
@@ -469,7 +461,7 @@ def effective_coupling(
         return HCF_PEAK_COUPLING if theta_tol_rad == 0.0 else HCF_COUPLING_AT_TOL
     if not isinstance(target, StepIndexFiber):
         raise TypeError(f"cannot model coupling for {target!r}")
-    mode = fiber_mode(target, wavelength_nm)
+    mode = fiber_mode(target, TELECOM_NM)
     w_opt, _ = optimize_waist(target, mode)
-    beam = GaussianBeam(waist_um=w_opt, wavelength_nm=wavelength_nm)
+    beam = GaussianBeam(waist_um=w_opt, wavelength_nm=TELECOM_NM)
     return tilted_eta(beam, target, mode, theta_tol_rad) * facet_transmission(target)

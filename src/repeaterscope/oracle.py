@@ -149,18 +149,21 @@ def dm_dephase(state: BellDiagonal, t: float, t2: float) -> BellDiagonal:
 # ---------------------------------------------------------------------------
 
 
+# trials per chunk of the burst sampler; each chunk draws its own stream
+CHUNK_SIZE = 1 << 16
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Trial count and seeding for the burst sampler.
 
-    Trials are processed in fixed-size chunks, each driven by its own
-    counter-based Philox stream keyed by (seed, chunk index), so the
+    Trials are processed in chunks of ``CHUNK_SIZE``, each driven by its
+    own counter-based Philox stream keyed by (seed, chunk index), so the
     aggregate is independent of how chunks are scheduled.
     """
 
     trials: int
     seed: int
-    chunk_size: int = 1 << 16
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -169,8 +172,6 @@ class MonteCarloConfig:
         # or more, where neighbouring seeds collide; a negative seed wraps
         if not 0 <= self.seed < 1 << 63:
             raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
 
 
 @dataclass
@@ -259,7 +260,7 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
     done = 0
     chunk_index = 0
     while done < mc.trials:
-        size = min(mc.chunk_size, mc.trials - done)
+        size = min(CHUNK_SIZE, mc.trials - done)
         rng = np.random.Generator(np.random.Philox(key=(mc.seed, chunk_index)))
         chunk_index += 1
         done += size

@@ -33,6 +33,10 @@ from .states import (
 # chains (n = 19 at eps_g 0.1) fail the states' sum check.
 MAX_DEPTH = 12
 
+# widest multiplexing the model is evaluated at: a distillation's thinning
+# table holds up to (m/2 + 1)**2 floats, about 0.5 GB at this bound
+MAX_WIDTH = 1 << 14
+
 
 def check_depth(n: int) -> None:
     """Reject a nesting depth outside ``[0, MAX_DEPTH]``."""
@@ -53,8 +57,8 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         check_depth(self.n)
-        if self.m < 1:
-            raise ValueError("multiplexing width must be at least 1")
+        if not 1 <= self.m <= MAX_WIDTH:
+            raise ValueError(f"multiplexing width must lie in [1, {MAX_WIDTH}], got {self.m}")
         if not 0.0 <= self.f_th <= 1.0:
             raise ValueError("fidelity threshold must lie in [0, 1]")
 

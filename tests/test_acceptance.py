@@ -97,8 +97,8 @@ def test_criterion_3_fresnel():
 
 
 def test_criterion_4_smf_facet_efficiency():
-    fiber = cp.near_cutoff_smf(1550.0, ar_coated=True)
-    eta = cp.effective_coupling(fiber, 0.025, 1550.0)
+    fiber = cp.near_cutoff_smf(1550.0)
+    eta = cp.effective_coupling(fiber, 0.025)
     ok = abs(eta - 0.83) <= 0.05
     report(4, ok, f"eta(0.025 rad)={eta:.4f}")
 

@@ -186,6 +186,9 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
         pytest.param(_sweep(n_range=[5000]), "nesting depth", id="sweep-depth-5000"),
         pytest.param(_sweep(n_range=[-1018]), "nesting depth", id="sweep-depth-minus-1018"),
         pytest.param(_sweep(n_range=[-5000]), "nesting depth", id="sweep-depth-minus-5000"),
+        # a width is bounded before a thinning table is sized from it
+        pytest.param(["chain", "--m", "16385"], "multiplexing width", id="chain-width-16385"),
+        pytest.param(_sweep(m=16385), "multiplexing width", id="sweep-width-16385"),
         # a Philox key holds a seed in [0, 2**63) without loss
         *[
             pytest.param(["chain", "--m", "16", "--oracle", "--trials", "2000", "--seed", str(seed)],

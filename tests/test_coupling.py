@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -246,24 +247,35 @@ class TestTilt:
 
     def test_tilt_scan_reuses_the_beams_starting_panels(self, monkeypatch):
         evaluated = []
+        node_builds = []
         beam_integrand = coupling._beam_integrand
+        panel_nodes = coupling._panel_nodes
 
         def counting(r, waist, *args):
             evaluated.append(waist)
             return beam_integrand(r, waist, *args)
 
+        def counting_nodes(lo, hi):
+            node_builds.append(lo.size)
+            return panel_nodes(lo, hi)
+
         monkeypatch.setattr(coupling, "_beam_integrand", counting)
+        monkeypatch.setattr(coupling, "_panel_nodes", counting_nodes)
         coupling._starting_panels.cache_clear()
         w_opt, _ = optimize_waist(FIBER, MODE)
-        searched = len(evaluated)
+        searched, built = len(evaluated), len(node_builds)
         beam = GaussianBeam(w_opt, 1550.0)
         for theta in np.linspace(0.0, 0.05, 26):
             tilted_eta(beam, FIBER, MODE, float(theta))
-        # one first-pass evaluation per waist the search tried; the optimum
-        # is one of them, so none of the 26 tilts evaluates the field again
+        # one first pass, nodes and field, per waist the search tried; the
+        # optimum is one of them, so none of the 26 tilts builds nodes or
+        # evaluates the field again.  A refinement pass would evaluate the
+        # field, so every node build counted here is a first pass's.
         assert searched == 14
+        assert built == 14
         assert w_opt in evaluated
         assert len(evaluated) == searched
+        assert len(node_builds) == built
 
 
 class TestFresnel:
@@ -274,8 +286,8 @@ class TestFresnel:
         assert fresnel_transmission(1.0, 1.45) == pytest.approx(0.966264, abs=1e-6)
 
     def test_ar_coating_overrides(self):
-        coated = near_cutoff_smf(1550.0, ar_coated=True)
-        bare = near_cutoff_smf(1550.0, ar_coated=False)
+        coated = near_cutoff_smf(1550.0)
+        bare = dataclasses.replace(coated, ar_coated=False)
         assert facet_transmission(coated) == 1.0
         assert facet_transmission(bare) == pytest.approx(0.966264, abs=1e-6)
 
@@ -296,15 +308,15 @@ class TestEffectiveCoupling:
             effective_coupling(1550.0, 0.025)
 
     def test_smf_at_design_tolerance(self):
-        eta = effective_coupling(FIBER, 0.025, 1550.0)
+        eta = effective_coupling(FIBER, 0.025)
         assert eta == pytest.approx(0.83, abs=0.05)
 
     def test_zero_tolerance_is_peak_times_facet(self):
-        bare = near_cutoff_smf(1550.0, ar_coated=False)
+        bare = dataclasses.replace(FIBER, ar_coated=False)
         mode = fiber_mode(bare, 1550.0)
         _, eta_opt = optimize_waist(bare, mode)
         expected = eta_opt * facet_transmission(bare)
-        assert effective_coupling(bare, 0.0, 1550.0) == pytest.approx(
+        assert effective_coupling(bare, 0.0) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -367,6 +379,12 @@ def _reference_overlap(waist: float, a: float, mode: ModeSolution, q: float) -> 
     return min(num * num / (_reference_fiber_norm(a, mode) * gauss_norm), 1.0)
 
 
+def integrate(fn, cuts) -> float:
+    """``_gauss_legendre`` of ``fn`` from its first pass on the panels between the cuts."""
+    lo, hi = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
+    return _gauss_legendre(fn, lo, hi, fn(coupling._panel_nodes(lo, hi)[1]))
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("wavelength", GRID_WAVELENGTHS)
     @pytest.mark.parametrize("v", GRID_V)
@@ -386,12 +404,14 @@ class TestQuadrature:
         passes = {}
         gauss_legendre = coupling._gauss_legendre
 
-        def counting(fn, cuts):
+        def counting(fn, lo, hi, first):
+            # the handed first pass counts as one, each refinement as another
             def counted(r):
-                passes[key] = passes.get(key, 0) + 1
+                passes[key] += 1
                 return fn(r)
 
-            return gauss_legendre(counted, cuts)
+            passes[key] = passes.get(key, 0) + 1
+            return gauss_legendre(counted, lo, hi, first)
 
         def plain(waist, fiber, mode, q):
             # the overlap evaluated with no cache: every pass calls mode_field
@@ -399,15 +419,14 @@ class TestQuadrature:
                 val = mode_field(r, fiber, mode) * np.exp(-((r / waist) ** 2)) * r
                 return val * j0(q * r) if q != 0.0 else val
 
-            cuts, _ = coupling._starting_panels(waist, fiber, mode)
-            num = gauss_legendre(integrand, cuts)
+            lo, hi, nodes, _ = coupling._starting_panels(waist, fiber, mode)
+            num = gauss_legendre(integrand, lo, hi, integrand(nodes))
             gauss_norm = 0.25 * waist**2 * -math.expm1(-2.0 * _TAIL_CUT)
             return min(num * num / (_fiber_norm(fiber, mode) * gauss_norm), 1.0)
 
         def clear():
             coupling._starting_panels.cache_clear()
             coupling._mode_constants.cache_clear()
-            coupling._first_panels.cache_clear()
 
         for v in GRID_V:
             for wavelength in GRID_WAVELENGTHS:
@@ -443,19 +462,19 @@ class TestQuadrature:
         assert _fiber_norm(fiber, mode) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_refines_an_integrand_the_first_panel_cannot_resolve(self):
-        val = _gauss_legendre(lambda x: np.cos(200.0 * x), [0.0, 1.0])
+        val = integrate(lambda x: np.cos(200.0 * x), [0.0, 1.0])
         assert val == pytest.approx(math.sin(200.0) / 200.0, rel=1e-10, abs=0.0)
 
     def test_unresolved_at_the_panel_cap_raises(self):
         with pytest.raises(QuadratureError):
-            _gauss_legendre(lambda x: np.cos(1e6 * x), [0.0, 1.0])
+            integrate(lambda x: np.cos(1e6 * x), [0.0, 1.0])
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            _gauss_legendre(lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0])
+            integrate(lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0])
 
     def test_couple_exits_3_on_quadrature_failure(self, monkeypatch, tmp_path, capsys):
-        def fail(fn, cuts):
+        def fail(fn, lo, hi, first):
             raise QuadratureError("forced")
 
         monkeypatch.setattr(coupling, "_gauss_legendre", fail)
