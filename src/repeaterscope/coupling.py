@@ -198,15 +198,18 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return half, mid[:, None] + half[:, None] * _NODES
 
 
-def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, f: np.ndarray) -> float:
+def _gauss_legendre(
+    fn, lo: np.ndarray, hi: np.ndarray, f: np.ndarray, floor: float = 0.0
+) -> float:
     """Adaptive integral of ``fn`` over the adjacent panels (lo, hi).
 
     ``f`` is the first pass: the integrand on the panels' nodes, as
     ``_panel_nodes`` places them.  Every pass bisects each panel whose
-    24/48-point gap exceeds its width's share of 1e-10 |total|, up to 300
-    panels, and calls ``fn``, which maps an array of abscissae to integrand
-    values, once on the nodes of the halves.  The summed gap is the error
-    estimate that gates the result.
+    24/48-point gap exceeds its width's share of 1e-10 max(|total|, floor),
+    up to 300 panels, and calls ``fn``, which maps an array of abscissae to
+    integrand values, once on the nodes of the halves.  The summed gap is the
+    error estimate that gates the result.  ``floor`` sets the scale for an
+    integral that cancels towards zero.
     """
     start, end = lo[0], hi[-1]
     span = end - start
@@ -217,7 +220,7 @@ def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, f: np.ndarray) -> float:
         fine = half * (f[:, _COARSE:] @ _FINE_W)
         gap = np.abs(fine - half * (f[:, :_COARSE] @ _COARSE_W))
         val = done_val + fine.sum()
-        split = gap > _EPSREL * abs(val) * (2.0 / span) * half
+        split = gap > _EPSREL * max(abs(val), floor) * (2.0 / span) * half
         n_split = int(np.count_nonzero(split))
         if n_split == 0 or panels + n_split > _MAX_PANELS:
             err = done_err + gap.sum()
@@ -231,7 +234,7 @@ def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, f: np.ndarray) -> float:
         panels += n_split
         half, nodes = _panel_nodes(lo, hi)
         f = fn(nodes)
-    if not math.isfinite(val) or (err > 1e-8 * abs(val) and err > 1e-13):
+    if not math.isfinite(val) or (err > 1e-8 * max(abs(val), floor) and err > 1e-13):
         raise QuadratureError(f"quadrature failed on ({start}, {end})")
     return float(val)
 
@@ -333,85 +336,78 @@ def tilted_eta(
     return _overlap_from_waist(beam.waist_um, fiber, mode, tilt_wavenumber=q)
 
 
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section share of an interval
-_WAIST_RTOL = 1e-7
+def _stationarity(waist_um: float, fiber: StepIndexFiber, mode: ModeSolution) -> float:
+    """The overlap's waist slope up to a positive factor, from the beam's first pass.
 
-
-def _bounded_minimum(fn, lo: float, hi: float, rtol: float) -> tuple[float, float]:
-    """Brent's minimizer of ``fn`` on [lo, hi]: (x, fn(x)) at the best x tried.
-
-    Parabolic steps through the three best points, with a golden-section
-    step whenever the parabola leaves the bracket or fails to halve the step
-    before last (Brent 1973, ch. 5).  Every step moves at least
-    ``rtol/2 * |x|``, which is above the sqrt(eps) resolution of function
-    values; the search stops once the bracket lies within ``rtol * |x|`` of
-    x on both sides.
+    With N(w) the overlap numerator, sqrt(eta) is proportional to N/w, whose
+    derivative is g(w)/w^2 with g = w N' - N, the integral of
+    F(r) exp(-r^2/w^2) r (2 r^2/w^2 - 1).  g vanishes at the optimum, so its
+    refinement is gated on the scale of N, summed from the same first pass.
     """
-    # Brent's names: [a, b] brackets the minimum; x is the best point, w the
-    # second best and v the previous w; d is the last step, e the one before
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN_STEP * (b - a)
-    fx = fw = fv = fn(x)
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = 0.5 * rtol * abs(x)
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                golden = False
-                # never evaluate within tol2 of a bound
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x <= m else -tol1
-        if golden:
-            e = (a if x >= m else b) - x
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fn(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return _beam_integrand(r, waist_um, fiber, mode) * (2.0 * (r / waist_um) ** 2 - 1.0)
+
+    lo, hi, nodes, first = _starting_panels(waist_um, fiber, mode)
+    scale = abs(float(0.5 * (hi - lo) @ (first[:, _COARSE:] @ _FINE_W)))
+    return _gauss_legendre(integrand, lo, hi, first * (2.0 * (nodes / waist_um) ** 2 - 1.0), scale)
+
+
+def _falsi_root(fn, x0: float, x1: float, f0: float, f1: float) -> float:
+    """Root of ``fn`` between x0 and x1, where f0 = fn(x0) and f1 = fn(x1)
+    differ in sign or one of them is zero.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971): each step
+    replaces one end by the secant point, kept at least 2 ulps inside the
+    bracket, and halves the value at the other end when that end is kept
+    twice in a row.  It stops once the bracket is 4 ulps wide and returns
+    the end where ``fn`` is nearer zero, so the root is a point that ``fn``
+    was evaluated at.
+    """
+    while f0 * f1 < 0.0 and abs(x1 - x0) > 4.0 * math.ulp(x1):
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        step = 2.0 * math.ulp(x1)
+        x = min(max(x, min(x0, x1) + step), max(x0, x1) - step)
+        fx = fn(x)
+        if fx * f1 > 0.0:
+            f0 *= 0.5
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            x0, f0 = x1, f1
+        x1, f1 = x, fx
+    return x1 if abs(f1) <= abs(f0) else x0
 
 
 def optimize_waist(
     fiber: StepIndexFiber, mode: ModeSolution
 ) -> tuple[float, float]:
-    """Best Gaussian waist for the mode: Brent's bounded search on [0.2a, 5a].
+    """Best Gaussian waist for the mode on [0.2a, 5a]: (w_opt in um, eta_opt).
 
-    Returns (w_opt in um, eta_opt).  The search stops once the optimum is
-    bracketed within 1e-7 relative of the best waist it has evaluated, and
-    returns that waist with its overlap, so a beam at ``w_opt`` reuses the
-    integrand the search cached for it.
+    The waist is the root of ``_stationarity``, bracketed first by 0.97 and
+    1.03 times Marcuse's fit w/a = 0.65 + 1.619 V^-1.5 + 2.879 V^-6 (Bell
+    Syst. Tech. J. 56, 703, 1977), clipped to the bounds; when the slope
+    keeps its sign there, the bracket extends to the bound it points at, and
+    that bound is the optimum when the slope keeps its sign up to it.  The
+    root finder returns a waist it evaluated, so a beam at ``w_opt`` reuses
+    the first pass cached for it.
     """
     a = fiber.core_radius_um
-    w_opt, neg_eta = _bounded_minimum(
-        lambda waist: -_overlap_from_waist(waist, fiber, mode), 0.2 * a, 5.0 * a, _WAIST_RTOL
-    )
-    return w_opt, -neg_eta
+    lo, hi = 0.2 * a, 5.0 * a
+    w_fit = a * (0.65 + 1.619 * mode.v**-1.5 + 2.879 * mode.v**-6)
+    x0, x1 = max(0.97 * w_fit, lo), min(1.03 * w_fit, hi)
+    if not x0 < x1:
+        x0, x1 = lo, hi
+    g0, g1 = _stationarity(x0, fiber, mode), _stationarity(x1, fiber, mode)
+    if g1 > 0.0 and x1 < hi:  # still rising: the optimum lies above the bracket
+        x0, g0, x1, g1 = x1, g1, hi, _stationarity(hi, fiber, mode)
+    elif g0 < 0.0 and x0 > lo:  # already falling: it lies below
+        x0, g0, x1, g1 = lo, _stationarity(lo, fiber, mode), x0, g0
+    if g1 > 0.0:
+        w_opt = hi
+    elif g0 < 0.0:
+        w_opt = lo
+    else:
+        w_opt = _falsi_root(lambda w: _stationarity(w, fiber, mode), x0, x1, g0, g1)
+    return w_opt, _overlap_from_waist(w_opt, fiber, mode)
 
 
 def fresnel_transmission(n0: float, n1: float) -> float:

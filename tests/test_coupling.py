@@ -205,13 +205,42 @@ class TestOverlap:
         w_opt, _ = optimize_waist(fiber, mode)
         if v <= 1.0:
             # the overlap still rises at the upper bound, which is the optimum
-            assert _stationarity(5.0 * a, a, mode) > 0.0
+            assert _reference_stationarity(5.0 * a, a, mode) > 0.0
             reference = 5.0 * a
         else:
             reference = brentq(
-                _stationarity, 0.2 * a, 5.0 * a, args=(a, mode), xtol=1e-15 * a, rtol=1e-15
+                _reference_stationarity, 0.2 * a, 5.0 * a, args=(a, mode), xtol=1e-15 * a, rtol=1e-15
             )
-        assert abs(w_opt - reference) <= 1e-7 * reference
+        assert abs(w_opt - reference) <= 1e-13 * reference
+
+    @pytest.mark.parametrize("wavelength", GRID_WAVELENGTHS)
+    @pytest.mark.parametrize("v", [v for v in GRID_V if v <= 1.0])
+    def test_optimum_at_the_bound_takes_few_slope_evaluations(self, v, wavelength, monkeypatch):
+        fiber = _grid_fiber(v, wavelength)
+        mode = fiber_mode(fiber, wavelength)
+        slopes = []
+        stationarity = coupling._stationarity
+
+        def counting(waist, *args):
+            slopes.append(waist)
+            return stationarity(waist, *args)
+
+        monkeypatch.setattr(coupling, "_stationarity", counting)
+        w_opt, _ = optimize_waist(fiber, mode)
+        assert w_opt == 5.0 * fiber.core_radius_um
+        assert len(slopes) <= 4
+
+    def test_falsi_root_closes_on_an_evaluated_root(self):
+        tried = []
+
+        def fn(x):
+            tried.append(x)
+            return math.cos(x) - x
+
+        root = coupling._falsi_root(fn, 0.0, 1.0, fn(0.0), fn(1.0))
+        assert abs(root - 0.7390851332151607) <= 4.0 * math.ulp(root)
+        assert root in tried
+        assert len(tried) <= 12
 
     def test_bounded_by_one(self):
         for w in (1.0, 5.0, 8.0, 20.0):
@@ -271,8 +300,8 @@ class TestTilt:
         # optimum is one of them, so none of the 26 tilts builds nodes or
         # evaluates the field again.  A refinement pass would evaluate the
         # field, so every node build counted here is a first pass's.
-        assert searched == 14
-        assert built == 14
+        assert searched == 8
+        assert built == 8
         assert w_opt in evaluated
         assert len(evaluated) == searched
         assert len(node_builds) == built
@@ -344,7 +373,7 @@ def _reference_fiber_norm(a: float, mode: ModeSolution) -> float:
     return _quad(power, 0.0, a) + _quad(power, a, math.inf)
 
 
-def _stationarity(waist: float, a: float, mode: ModeSolution) -> float:
+def _reference_stationarity(waist: float, a: float, mode: ModeSolution) -> float:
     """The overlap's waist derivative up to a positive factor, with QUADPACK.
 
     d ln(eta)/dw = 0 where the overlap numerator N satisfies w N'(w) = N(w),
@@ -474,7 +503,7 @@ class TestQuadrature:
             integrate(lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0])
 
     def test_couple_exits_3_on_quadrature_failure(self, monkeypatch, tmp_path, capsys):
-        def fail(fn, lo, hi, first):
+        def fail(fn, lo, hi, first, floor=0.0):
             raise QuadratureError("forced")
 
         monkeypatch.setattr(coupling, "_gauss_legendre", fail)

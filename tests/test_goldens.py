@@ -28,11 +28,12 @@ import dataclasses
 import io
 import math
 import pathlib
+import random
 import sys
 
 import pytest
 
-from repeaterscope import cli, protocol
+from repeaterscope import cli, coupling, protocol
 from repeaterscope.sweep import SweepRow, figure_preset, rows_to_csv, run_sweep
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -180,6 +181,28 @@ def test_couple_matches_golden(wavelength):
     golden = _parse((GOLDEN_DIR / f"couple_{wavelength}.csv").read_text())
     moves = row_moves(golden, _parse(_couple_csv(wavelength)), COUPLE_FLOAT_COLUMNS)
     assert not moves, f"{len(moves)} cells outside tolerance: {moves[:10]}"
+
+
+@pytest.mark.parametrize("wavelength", COUPLE_WAVELENGTHS)
+def test_couple_stays_well_inside_tolerance_under_one_ulp_slope_noise(wavelength, monkeypatch):
+    # the waist is the root of a slope that crosses zero steeply, so moving
+    # every slope value by one ulp, up or down at random, must leave the
+    # tilted column within a tenth of its tolerance of the golden
+    golden = _parse((GOLDEN_DIR / f"couple_{wavelength}.csv").read_text())
+    rng = random.Random(int(wavelength))
+    stationarity = coupling._stationarity
+
+    def noisy(*args):
+        return math.nextafter(stationarity(*args), rng.choice((-math.inf, math.inf)))
+
+    monkeypatch.setattr(coupling, "_stationarity", noisy)
+    for _ in range(5):
+        rows = _parse(_couple_csv(wavelength))
+        moves = [
+            cell_move("eta_smf_1550", g["eta_smf_1550"], r["eta_smf_1550"], COUPLE_FLOAT_COLUMNS)
+            for g, r in zip(golden, rows)
+        ]
+        assert max(moves) <= 0.1
 
 
 _CHAIN_HCF = ["chain", "--medium", "HCF", "--l0", "20", "--n", "2", "--m", "1024", "--eps-g", "1e-3"]
