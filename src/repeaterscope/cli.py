@@ -20,6 +20,7 @@ import numpy as np
 from . import metrics, sweep
 from .cascade import CascadeConfig
 from .channel import (
+    TELECOM_NM,
     ConfigurationError,
     LinkBudget,
     MediumProfile,
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     link.set_defaults(func=_cmd_link)
 
     couple = sub.add_parser("couple", help="facet coupling vs tilt angle (CSV)")
-    couple.add_argument("--wavelength", type=float, default=1550.0)
+    couple.add_argument("--wavelength", type=float, default=float(TELECOM_NM))
     couple.add_argument("--theta-max", type=float, default=0.05, dest="theta_max")
     couple.add_argument("--points", type=int, default=26)
     couple.add_argument("--out")

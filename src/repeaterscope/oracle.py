@@ -180,10 +180,11 @@ class McCascadeResult:
 
     ``end_histogram[k]`` counts trials that finished cleanly (every segment
     held at least one pair at every level) with k end-to-end pairs.
-    ``reset_trials[i]`` / ``dropped_trials[i]`` count trials first classified
-    at level i as a reset (per the termination bookkeeping) or as carrying a
-    zero count outside that bookkeeping.  ``entered_trials[i]`` counts trials
-    still clean when entering level i.  Operation counts cover every trial up
+    ``reset_trials[i]`` counts trials first classified at level i as a reset
+    (per the termination bookkeeping); a trial that first carries a zero
+    count outside that bookkeeping is dropped, and stops being clean, without
+    being counted.  ``entered_trials[i]`` counts trials still clean when
+    entering level i.  Operation counts cover every trial up
     to the level where it stopped.
     """
 
@@ -191,7 +192,6 @@ class McCascadeResult:
     end_histogram: np.ndarray
     clean_trials: int
     reset_trials: np.ndarray
-    dropped_trials: np.ndarray
     entered_trials: np.ndarray
     swap_ops_sum: float
     swap_ops_sumsq: float
@@ -252,7 +252,6 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
 
     hist = np.zeros(config.level_width(n) + 1, dtype=np.int64)
     reset_at = np.zeros(n + 1, dtype=np.int64)
-    dropped_at = np.zeros(n + 1, dtype=np.int64)
     entered = np.zeros(n + 1, dtype=np.int64)
     clean_total = 0
     sw_sum = sw_sumsq = di_sum = di_sumsq = 0.0
@@ -294,7 +293,6 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
                 is_reset = np.zeros(size, dtype=bool)
                 is_dropped = clean & zero_seg.any(axis=1)
             reset_at[i + 1] += int(is_reset.sum())
-            dropped_at[i + 1] += int(is_dropped.sum())
             clean &= ~(is_reset | is_dropped)
             counts = merged
 
@@ -311,7 +309,6 @@ def mc_cascade(config: CascadeConfig, mc: MonteCarloConfig) -> McCascadeResult:
         end_histogram=hist,
         clean_trials=clean_total,
         reset_trials=reset_at,
-        dropped_trials=dropped_at,
         entered_trials=entered,
         swap_ops_sum=sw_sum,
         swap_ops_sumsq=sw_sumsq,

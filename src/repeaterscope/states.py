@@ -48,24 +48,23 @@ class BellDiagonal:
 class NoiseParams:
     """Local noise model: two-qubit gate error, measurement error, memory T2.
 
-    ``xi`` defaults to ``eps_g / 4`` when not given explicitly.  ``eps_g``
-    lies in [0, 0.8]: at 0.8 the heralded link's fidelity ``1 - 1.25 eps_g``
-    reaches 0.
+    ``eps_g`` lies in [0, 0.8]: at 0.8 the heralded link's fidelity
+    ``1 - 1.25 eps_g`` reaches 0.  The measurement error ``xi`` is
+    ``eps_g / 4``.
     """
 
     eps_g: float
     t2: float = math.inf
-    xi: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps_g <= 0.8:
             raise ValueError(f"eps_g must lie in [0, 0.8], got {self.eps_g}")
-        if self.xi is None:
-            object.__setattr__(self, "xi", self.eps_g / 4.0)
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
         if not self.t2 > 0.0:
             raise ValueError(f"t2 must be positive, got {self.t2}")
+
+    @property
+    def xi(self) -> float:
+        return self.eps_g / 4.0
 
 
 def werner(fidelity: float) -> BellDiagonal:
