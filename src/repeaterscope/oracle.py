@@ -184,8 +184,8 @@ class McCascadeResult:
     (per the termination bookkeeping); a trial that first carries a zero
     count outside that bookkeeping is dropped, and stops being clean, without
     being counted.  ``entered_trials[i]`` counts trials still clean when
-    entering level i.  Operation counts cover every trial up
-    to the level where it stopped.
+    entering level i.  Operation counts cover every trial up to the level
+    where it stopped.
     """
 
     trials: int
