@@ -106,47 +106,32 @@ def normalized_frequency(fiber: StepIndexFiber, wavelength_nm: float) -> float:
     return v
 
 
-def _characteristic_mismatch(u: float, v: float) -> float:
-    w = math.sqrt(max(v * v - u * u, 0.0))
-    if w == 0.0:
-        return u * j1(u) / j0(u)
-    return u * j1(u) / j0(u) - w * k1(w) / k0(w)
+def _characteristic(u: float, v: float) -> float:
+    """U J1(U) K0(W) - W K1(W) J0(U), W^2 = V^2 - U^2: the characteristic
+    equation U J1(U)/J0(U) = W K1(W)/K0(W) multiplied through by J0(U) K0(W),
+    which keeps its root and has no pole at the zero of J0."""
+    w = math.sqrt(v * v - u * u)
+    # as Python floats, 0 * inf at an underflowed W is a NaN without a warning
+    j0u, j1u, k0w, k1w = float(j0(u)), float(j1(u)), float(k0(w)), float(k1(w))
+    return u * j1u * k0w - w * k1w * j0u
 
 
 def solve_characteristic(v: float) -> ModeSolution:
     """Fundamental root of U J1(U)/J0(U) = W K1(W)/K0(W), W^2 = V^2 - U^2.
 
-    Bracketed bisection on U in (0, min(V, 2.4048)); converges to
-    |mismatch| < 1e-10.
+    ``_falsi_root`` of ``_characteristic`` on U in (1e-9 min(V, 1),
+    min(V, 2.4048)); raises ``SolverError`` when the ends do not differ in
+    sign, as when either is NaN.
     """
     if v <= 0.0:
         raise ValueError(f"V must be positive, got {v}")
     lo = 1e-9 * min(v, 1.0)
     hi = min(v, SINGLE_MODE_CUTOFF_V) * (1.0 - 1e-12)
-    f_lo = _characteristic_mismatch(lo, v)
-    f_hi = _characteristic_mismatch(hi, v)
-    if f_lo * f_hi > 0.0:
+    f_lo, f_hi = _characteristic(lo, v), _characteristic(hi, v)
+    if not f_lo * f_hi <= 0.0:
         raise SolverError(f"no sign change on ({lo}, {hi}) for V = {v}")
-    u = None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _characteristic_mismatch(mid, v)
-        if abs(f_mid) < 1e-10:
-            u = mid
-            break
-        if f_lo * f_mid <= 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        # near cutoff the mismatch jumps by more than the target per float
-        # step; accept the bracket once it has collapsed to rounding width
-        if hi - lo <= 4.0 * math.ulp(hi):
-            u = 0.5 * (lo + hi)
-            break
-    if u is None:
-        raise SolverError(f"bisection did not converge for V = {v}")
-    w = math.sqrt(v * v - u * u)
-    return ModeSolution(v=v, u=u, w=w)
+    u = _falsi_root(lambda x: _characteristic(x, v), lo, hi, f_lo, f_hi)
+    return ModeSolution(v=v, u=u, w=math.sqrt(v * v - u * u))
 
 
 def fiber_mode(fiber: StepIndexFiber, wavelength_nm: float) -> ModeSolution:

@@ -55,6 +55,12 @@ def _grid_fiber(v: float, wavelength: float) -> StepIndexFiber:
     return StepIndexFiber(a, 1.45, math.sqrt(1.45**2 - GRID_NA**2))
 
 
+# the grid fibers and both near-cutoff presets, each at its own wavelength
+MODE_CASES = [(_grid_fiber(v, wl), wl) for v in GRID_V for wl in GRID_WAVELENGTHS] + [
+    (near_cutoff_smf(wl), wl) for wl in GRID_WAVELENGTHS
+]
+
+
 class TestNormalizedFrequency:
     def test_inversion(self):
         na = 0.12
@@ -103,6 +109,42 @@ class TestCharacteristicEquation:
         vals = us * j1(us) / j0(us) - ws * k1(ws) / k0(ws)
         idx = np.nonzero(np.diff(np.sign(vals)) != 0)[0][0]
         assert abs(mode.u - us[idx]) < 1e-6
+
+    @pytest.mark.parametrize("fiber, wavelength", MODE_CASES)
+    def test_root_within_four_ulps_of_a_sign_change(self, fiber, wavelength):
+        # the unmultiplied mismatch U J1/J0 - W K1/K0 on the 9 floats from
+        # 4 ulps below u to 4 ulps above it
+        from scipy.special import j1, k1
+
+        mode = fiber_mode(fiber, wavelength)
+        v = mode.v
+        us = [mode.u]
+        for _ in range(4):
+            us = [math.nextafter(us[0], -math.inf), *us, math.nextafter(us[-1], math.inf)]
+        signs = []
+        for u in us:
+            w = math.sqrt(v * v - u * u)
+            signs.append(np.sign(u * j1(u) / j0(u) - w * k1(w) / k0(w)))
+        assert min(signs) <= 0.0 <= max(signs)
+
+    @pytest.mark.parametrize("fiber, wavelength", MODE_CASES)
+    def test_solve_takes_at_most_24_evaluations(self, fiber, wavelength, monkeypatch):
+        calls = []
+        characteristic = coupling._characteristic
+
+        def counting(u, v):
+            calls.append(u)
+            return characteristic(u, v)
+
+        monkeypatch.setattr(coupling, "_characteristic", counting)
+        fiber_mode(fiber, wavelength)
+        assert 2 < len(calls) <= 24
+
+    def test_underflowing_v_raises_solver_error(self):
+        # v*v underflows, so W is 0 at the upper bracket end and the
+        # characteristic function is NaN there
+        with pytest.raises(coupling.SolverError):
+            solve_characteristic(1e-160)
 
     def test_invalid_v(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,10 @@ HCF constant must match exactly, ``eta_smf_1550`` to a relative 1e-12.
 
 Run ``PYTHONPATH=src python tests/test_goldens.py [name ...]`` to write a
 missing golden file, or, for a change that is meant to move outputs, to
-rewrite only the rows that fall outside these tolerances; it prints how many
-rows moved per preset or ``couple`` file and the largest move.  A name from
-``CLI_GOLDENS`` rewrites that file whole.
+rewrite only the preset rows that fall outside these tolerances; it prints
+how many rows moved per preset and the largest move.  A ``couple_<wavelength>``
+name or a name from ``CLI_GOLDENS`` rewrites that file whole, so it holds
+the command's output byte for byte.
 
 ``CLI_GOLDENS`` maps the other golden files to the ``repeaterscope``
 arguments that write them: ``link``, ``chain`` (with ``--trace --oracle``,
@@ -265,16 +266,17 @@ def write_goldens(names) -> None:
             continue
         path = GOLDEN_DIR / f"{name}.csv"
         if name.startswith("couple_"):
-            text, float_columns = _couple_csv(name.removeprefix("couple_")), COUPLE_FLOAT_COLUMNS
-        else:
-            text, float_columns = rows_to_csv(run_sweep(GOLDEN_SPECS[name]())), FLOAT_COLUMNS
+            path.write_text(_couple_csv(name.removeprefix("couple_")))
+            print(f"{name}: written")
+            continue
+        text = rows_to_csv(run_sweep(GOLDEN_SPECS[name]()))
         if not path.exists():
             path.write_text(text)
             print(f"{name}: wrote {text.count(chr(10)) - 1} rows")
             continue
         old_lines = path.read_text().splitlines()
         new_lines = text.splitlines()
-        moves = row_moves(_parse(path.read_text()), _parse(text), float_columns)
+        moves = row_moves(_parse(path.read_text()), _parse(text))
         moved = sorted({i for i, _, _ in moves})
         for i in moved:
             old_lines[i + 1] = new_lines[i + 1]
