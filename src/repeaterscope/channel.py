@@ -133,15 +133,11 @@ def select_wavelength(
 
     Ties resolve toward 1550 nm.
     """
-    best = max(
-        sorted(medium.att_length_km),
-        key=lambda wl: (
-            elementary_success(medium, budget, wl),
-            wl == TELECOM_NM,
-            wl,
-        ),
+    pi0, _, best = max(
+        (elementary_success(medium, budget, wl), wl == TELECOM_NM, wl)
+        for wl in medium.att_length_km
     )
-    return best, elementary_success(medium, budget, best)
+    return best, pi0
 
 
 def conversion_threshold(medium: MediumProfile, l0_km: float) -> float:

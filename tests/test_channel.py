@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from repeaterscope import channel
 from repeaterscope.channel import (
     MEMORY_NM,
     TELECOM_NM,
@@ -125,6 +126,19 @@ class TestSelectWavelength:
         for l0 in (5.0, 20.0, 60.0):
             wl, _ = select_wavelength(HCF, budget(conv=1.0, l0=l0))
             assert wl == TELECOM_NM
+
+    @pytest.mark.parametrize("medium", [SMF, HCF], ids=["SMF", "HCF"])
+    def test_forms_each_success_probability_once(self, medium, monkeypatch):
+        calls = []
+
+        def counted(medium, budget, wavelength_nm):
+            calls.append(wavelength_nm)
+            return elementary_success(medium, budget, wavelength_nm)
+
+        monkeypatch.setattr(channel, "elementary_success", counted)
+        wl, pi0 = select_wavelength(medium, budget(conv=0.5))
+        assert sorted(calls) == sorted(medium.att_length_km)
+        assert pi0 == elementary_success(medium, budget(conv=0.5), wl)
 
     @given(st.floats(0.05, 1.0), st.floats(1.0, 100.0), st.floats(0.05, 1.0))
     def test_argmax_invariant_under_hardware_scaling(self, conv, l0, scale):
