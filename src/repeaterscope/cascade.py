@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 _MASS_TOL = 1e-10
 
@@ -36,25 +35,27 @@ class InvariantError(ArithmeticError):
 
 
 def _flush_subnormal(p):
-    # log-space binomials overflow or lose the tail on subnormal inputs
+    # a subnormal probability keeps too few significant bits to build a
+    # distribution from, so it counts as 0: a subnormal pi0 resets for certain
     return np.where(np.abs(p) >= sys.float_info.min, p, 0.0)
 
 
 def _binomial_rows(n: int, p: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) pmf over k = 0..n for each entry of ``p``, in log space:
-    the count of simultaneous elementary-link successes over n channels."""
+    """Binomial(n, p) pmf over k = 0..n per entry of ``p`` (the count of
+    elementary-link successes over n channels), by the ratio recurrence
+    ``pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / (1 - p)`` run outward from
+    the mode floor((n + 1) p), which holds 1 until the row is normalized.
+    Every ratio on the way out is at most 1; at p = 0 and p = 1 those past the
+    mode (0 or n) are exactly 0."""
     p = _flush_subnormal(np.asarray(p, dtype=np.float64))
-    rows = np.zeros((len(p), n + 1))
-    rows[p == 0.0, 0] = 1.0
-    rows[p == 1.0, n] = 1.0
-    inner = (p > 0.0) & (p < 1.0)
-    if inner.any():
-        pi = p[inner, None]
-        k = np.arange(n + 1)
-        log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        raw = np.exp(log_comb + k * np.log(pi) + (n - k) * np.log1p(-pi))
-        rows[inner] = raw / raw.sum(axis=1, keepdims=True)
-    return rows
+    rows = np.ones((len(p), n + 1))
+    k = np.arange(n + 1.0)
+    for row, pi in zip(rows, p):
+        mode = min(int((n + 1) * pi), n)
+        up, down = k[mode:n], k[mode:0:-1]
+        row[mode + 1 :] = np.cumprod((n - up) * pi / ((up + 1) * (1 - pi)))
+        row[:mode] = np.cumprod(down * (1 - pi) / ((n - down + 1) * pi))[::-1]
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def _thinning_table(rows: int, cap: int, d: float) -> np.ndarray:

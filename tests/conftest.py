@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -35,6 +36,29 @@ def count_distribution(draw, max_width: int = 12):
     )
     arr = np.asarray(raw)
     return arr / arr.sum()
+
+
+def reference_binomial_rows(n: int, p) -> np.ndarray:
+    """Binomial(n, p) pmf over k = 0..n for each entry of ``p``, formed at 50
+    digits and rounded once to float64.
+
+    Each row starts from ``(1 - p)**n`` and multiplies in the ratios
+    ``(n - k) / (k + 1) * p / (1 - p)``; at 50 digits the rounding of n such
+    steps stays far below float64's.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    rows = np.zeros((len(p), n + 1))
+    with mpmath.workdps(50):
+        for row, pi in zip(rows, p):
+            if pi == 1.0:
+                row[n] = 1.0
+                continue
+            pi = mpmath.mpf(float(pi))
+            odds, value = pi / (1 - pi), (1 - pi) ** n
+            for k in range(n + 1):
+                row[k] = float(value)
+                value = value * (n - k) / (k + 1) * odds
+    return rows
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from repeaterscope.cascade import (
 )
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 
-from conftest import assert_end_pairs_bounded, count_distribution
+from conftest import assert_end_pairs_bounded, count_distribution, reference_binomial_rows
 
 
 def aligned_tv(p: np.ndarray, q: np.ndarray) -> float:
@@ -120,6 +120,16 @@ class TestGeneration:
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert mean(probs) == pytest.approx((1 << 16) * 3e-5, rel=1e-9)
         assert np.isfinite(probs).all()
+
+    @pytest.mark.parametrize("m", [16, 1024, 4096])
+    @pytest.mark.parametrize("pi0", [0.0, 1e-6, 0.013, 0.5, 0.9, 1.0])
+    def test_meets_a_50_digit_reference(self, m, pi0):
+        # relative error on every entry above 1e-30; the rest stays below it
+        got = _binomial_rows(m, [pi0])[0]
+        want = reference_binomial_rows(m, [pi0])[0]
+        held = want > 1e-30
+        assert np.abs(got[held] / want[held] - 1.0).max() <= 1e-13
+        assert (got[~held] <= 2e-30).all()
 
     @pytest.mark.parametrize("pi0", [1e-6, 0.013, 0.5, 0.87, 1 - 1e-9])
     def test_matches_exact_combinatorial_pmf(self, pi0):

@@ -555,10 +555,11 @@ def _printed_by_fresh_interpreter(code: str) -> list[str]:
 def test_cli_import_leaves_scipy_integrate_unloaded():
     printed = _printed_by_fresh_interpreter(
         "import sys, repeaterscope.cli; "
-        "print('scipy.integrate' in sys.modules, 'repeaterscope.coupling' in sys.modules)"
+        "print('scipy.integrate' in sys.modules, 'repeaterscope.coupling' in sys.modules, "
+        "any(name.split('.')[0] == 'scipy' for name in sys.modules))"
     )
-    # only ``couple`` loads the mode solver
-    assert printed == ["False", "False"]
+    # only ``couple`` loads the mode solver, and the model path needs no scipy
+    assert printed == ["False", "False", "False"]
 
 
 def test_coupling_import_leaves_scipy_optimize_unloaded():

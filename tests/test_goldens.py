@@ -34,8 +34,10 @@ import sys
 
 import pytest
 
-from repeaterscope import cli, coupling, protocol
+from repeaterscope import cascade, cli, coupling, protocol
 from repeaterscope.sweep import SweepRow, figure_preset, rows_to_csv, run_sweep
+
+from conftest import reference_binomial_rows
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -164,6 +166,25 @@ def test_skr_curves_has_one_monotonicity_break():
     assert float(lower["skr_pcu"]) == pytest.approx(4.245e-5, rel=1e-3)
     assert float(upper["skr_pcu"]) == pytest.approx(5.137e-5, rel=1e-3)
     assert float(upper["mass_defect"]) == pytest.approx(0.759, abs=1e-3)
+
+
+@pytest.mark.slow
+def test_fig5_meets_the_recursion_on_50_digit_generation_rows(monkeypatch):
+    # the reference runs the same float64 recursion on generation rows formed
+    # at 50 digits and rounded once, so what separates the two is the error of
+    # the generation kernel and what the recursion makes of it
+    rows = run_sweep(figure_preset("fig5"))
+    monkeypatch.setattr(cascade, "_binomial_rows", reference_binomial_rows)
+    reference = run_sweep(figure_preset("fig5"))
+    assert len(rows) == len(reference) == 160
+    for row, ref in zip(rows, reference):
+        for column in (f.name for f in dataclasses.fields(SweepRow)):
+            a, b = getattr(row, column), getattr(ref, column)
+            if column not in FLOAT_COLUMNS:
+                assert a == b, (column, a, b)
+            elif not (a == b or (math.isnan(a) and math.isnan(b))):
+                scale = 1.0 if column in ABS_TOL else max(abs(a), abs(b))
+                assert abs(a - b) <= 1e-14 * scale, (column, a, b)
 
 
 COUPLE_WAVELENGTHS = ("1550", "780")
