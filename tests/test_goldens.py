@@ -11,11 +11,10 @@ which is the cancelling difference ``1 - scaled_total``.
 HCF constant must match exactly, ``eta_smf_1550`` to a relative 1e-12.
 
 Run ``PYTHONPATH=src python tests/test_goldens.py [name ...]`` to write a
-missing golden file, or, for a change that is meant to move outputs, to
-rewrite only the preset rows that fall outside these tolerances; it prints
-how many rows moved per preset and the largest move.  A ``couple_<wavelength>``
-name or a name from ``CLI_GOLDENS`` rewrites that file whole, so it holds
-the command's output byte for byte.
+missing golden file or, for a change that is meant to move outputs, to
+rewrite it.  Every name rewrites its file whole, so each golden holds its
+command's output byte for byte; for a preset it first prints how many rows
+moved outside these tolerances and the largest move.
 
 ``CLI_GOLDENS`` maps the other golden files to the ``repeaterscope``
 arguments that write them: ``link``, ``chain`` (with ``--trace --oracle``,
@@ -291,21 +290,14 @@ def write_goldens(names) -> None:
             print(f"{name}: written")
             continue
         text = rows_to_csv(run_sweep(GOLDEN_SPECS[name]()))
-        if not path.exists():
-            path.write_text(text)
-            print(f"{name}: wrote {text.count(chr(10)) - 1} rows")
-            continue
-        old_lines = path.read_text().splitlines()
-        new_lines = text.splitlines()
-        moves = row_moves(_parse(path.read_text()), _parse(text))
-        moved = sorted({i for i, _, _ in moves})
-        for i in moved:
-            old_lines[i + 1] = new_lines[i + 1]
-        path.write_text("\n".join(old_lines) + "\n")
-        print(f"{name}: {len(moved)} rows rewritten")
-        if moves:
-            i, column, move = max(moves, key=lambda m: m[2])
-            print(f"  largest move: row {i} {column}, {move:.3g} times its tolerance")
+        if path.exists():
+            moves = row_moves(_parse(path.read_text()), _parse(text))
+            print(f"{name}: {len({i for i, _, _ in moves})} rows moved outside tolerance")
+            if moves:
+                i, column, move = max(moves, key=lambda m: m[2])
+                print(f"  largest move: row {i} {column}, {move:.3g} times its tolerance")
+        path.write_text(text)
+        print(f"{name}: wrote {text.count(chr(10)) - 1} rows")
 
 
 if __name__ == "__main__":
