@@ -120,8 +120,10 @@ def solve_characteristic(v: float) -> ModeSolution:
     """Fundamental root of U J1(U)/J0(U) = W K1(W)/K0(W), W^2 = V^2 - U^2.
 
     ``_falsi_root`` of ``_characteristic`` on U in (1e-9 min(V, 1),
-    min(V, 2.4048)); raises ``SolverError`` when the ends do not differ in
-    sign, as when either is NaN.
+    min(V, 2.4048)(1 - 1e-12)); raises ``SolverError`` when the ends do not
+    differ in sign, as when either is NaN.  Below V of about 0.3672 the root's
+    W falls under V sqrt(2e-12), so U lies past the upper end and every such V
+    raises; ``couple`` and the ``facet_scan`` fibers (V >= 1.6) never get there.
     """
     if v <= 0.0:
         raise ValueError(f"V must be positive, got {v}")

@@ -131,9 +131,9 @@ class TestSelectWavelength:
     def test_forms_each_success_probability_once(self, medium, monkeypatch):
         calls = []
 
-        def counted(medium, budget, wavelength_nm):
-            calls.append(wavelength_nm)
-            return elementary_success(medium, budget, wavelength_nm)
+        def counted(*args):
+            calls.append(args[-1])
+            return elementary_success(*args)
 
         monkeypatch.setattr(channel, "elementary_success", counted)
         wl, pi0 = select_wavelength(medium, budget(conv=0.5))
