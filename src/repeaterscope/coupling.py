@@ -106,12 +106,12 @@ def normalized_frequency(fiber: StepIndexFiber, wavelength_nm: float) -> float:
     return v
 
 
-def _characteristic(u: float, v: float) -> float:
-    """U J1(U) K0(W) - W K1(W) J0(U), W^2 = V^2 - U^2: the characteristic
-    equation U J1(U)/J0(U) = W K1(W)/K0(W) multiplied through by J0(U) K0(W),
-    which keeps its root and has no pole at the zero of J0."""
-    w = math.sqrt(v * v - u * u)
-    # as Python floats, 0 * inf at an underflowed W is a NaN without a warning
+def _characteristic(t: float, v: float) -> float:
+    """U J1(U) K0(W) - W K1(W) J0(U) at W = V exp(t), U^2 = V^2 - W^2: the
+    characteristic equation U J1(U)/J0(U) = W K1(W)/K0(W) multiplied through
+    by J0(U) K0(W), which keeps its root and has no pole at the zero of J0."""
+    w = v * math.exp(t)
+    u = math.sqrt((v - w) * (v + w))
     j0u, j1u, k0w, k1w = float(j0(u)), float(j1(u)), float(k0(w)), float(k1(w))
     return u * j1u * k0w - w * k1w * j0u
 
@@ -119,21 +119,21 @@ def _characteristic(u: float, v: float) -> float:
 def solve_characteristic(v: float) -> ModeSolution:
     """Fundamental root of U J1(U)/J0(U) = W K1(W)/K0(W), W^2 = V^2 - U^2.
 
-    ``_falsi_root`` of ``_characteristic`` on U in (1e-9 min(V, 1),
-    min(V, 2.4048)(1 - 1e-12)); raises ``SolverError`` when the ends do not
-    differ in sign, as when either is NaN.  Below V of about 0.3672 the root's
-    W falls under V sqrt(2e-12), so U lies past the upper end and every such V
-    raises; ``couple`` and the ``facet_scan`` fibers (V >= 1.6) never get there.
+    ``_falsi_root`` of ``_characteristic`` on t = ln(W/V), from 0 (U = 0, where
+    it is -V K1(V)) down to U = 2.4048 above the cutoff or W = 2^-1022 below
+    it, which are positive for V above 0.0531; below that floor W underflows
+    and ``SolverError`` is raised.  5-17 evaluations up to the cutoff; U within
+    1e-15 of the root and ln W within 1e-15 max(100, |ln W|), K0(W)'s limit.
     """
     if v <= 0.0:
         raise ValueError(f"V must be positive, got {v}")
-    lo = 1e-9 * min(v, 1.0)
-    hi = min(v, SINGLE_MODE_CUTOFF_V) * (1.0 - 1e-12)
-    f_lo, f_hi = _characteristic(lo, v), _characteristic(hi, v)
+    c = SINGLE_MODE_CUTOFF_V
+    lo = 0.5 * math.log((1.0 - c / v) * (1.0 + c / v)) if v > c else math.log(2.0**-1022 / v)
+    f_lo, f_hi = _characteristic(min(lo, 0.0), v), _characteristic(0.0, v)
     if not f_lo * f_hi <= 0.0:
-        raise SolverError(f"no sign change on ({lo}, {hi}) for V = {v}")
-    u = _falsi_root(lambda x: _characteristic(x, v), lo, hi, f_lo, f_hi)
-    return ModeSolution(v=v, u=u, w=math.sqrt(v * v - u * u))
+        raise SolverError(f"no sign change on ln(W/V) in ({lo}, 0) for V = {v}")
+    w = v * math.exp(_falsi_root(lambda t: _characteristic(t, v), lo, 0.0, f_lo, f_hi))
+    return ModeSolution(v=v, u=math.sqrt((v - w) * (v + w)), w=w)
 
 
 def fiber_mode(fiber: StepIndexFiber, wavelength_nm: float) -> ModeSolution:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -59,6 +60,38 @@ def _grid_fiber(v: float, wavelength: float) -> StepIndexFiber:
 MODE_CASES = [(_grid_fiber(v, wl), wl) for v in GRID_V for wl in GRID_WAVELENGTHS] + [
     (near_cutoff_smf(wl), wl) for wl in GRID_WAVELENGTHS
 ]
+
+# the V whose LP01 root has W = 1: U J1(U)/J0(U) = K1(1)/K0(1)
+W_IS_ONE_V = math.hypot(brentq(lambda u: u * j1(u) * k0(1.0) - k1(1.0) * j0(u), 0.5, 2.4), 1.0)
+
+
+def _reference_mode(v: float) -> tuple[float, float]:
+    """The LP01 root (U, W) of the float V, solved at 40 digits in ln W."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(v)
+
+        def mismatch(s):
+            w = mpmath.exp(s)
+            u = mpmath.sqrt(v * v - w * w)
+            j0u, j1u = mpmath.besselj(0, u), mpmath.besselj(1, u)
+            return u * j1u * mpmath.besselk(0, w) - w * mpmath.besselk(1, w) * j0u
+
+        top = mpmath.log(v) - mpmath.mpf(10) ** -30
+        w = mpmath.exp(mpmath.findroot(mismatch, (-800, top), solver="anderson"))
+        return float(mpmath.sqrt(v * v - w * w)), float(w)
+
+
+def _count_evaluations(monkeypatch) -> list[float]:
+    """The points at which ``coupling._characteristic`` is called from now on."""
+    calls = []
+    characteristic = coupling._characteristic
+
+    def counting(t, v):
+        calls.append(t)
+        return characteristic(t, v)
+
+    monkeypatch.setattr(coupling, "_characteristic", counting)
+    return calls
 
 
 class TestNormalizedFrequency:
@@ -121,22 +154,41 @@ class TestCharacteristicEquation:
 
     @pytest.mark.parametrize("fiber, wavelength", MODE_CASES)
     def test_solve_takes_at_most_24_evaluations(self, fiber, wavelength, monkeypatch):
-        calls = []
-        characteristic = coupling._characteristic
-
-        def counting(u, v):
-            calls.append(u)
-            return characteristic(u, v)
-
-        monkeypatch.setattr(coupling, "_characteristic", counting)
+        calls = _count_evaluations(monkeypatch)
         fiber_mode(fiber, wavelength)
         assert 2 < len(calls) <= 24
 
+    @pytest.mark.parametrize("v", [0.0532, 0.2, 0.3671, W_IS_ONE_V, 2.404825557695773, 3.0])
+    def test_solve_takes_at_most_24_evaluations_across_the_range(self, v, monkeypatch):
+        # from just above the floor to past the cutoff; W_IS_ONE_V puts the
+        # root at ln W = 0, where a search in ln W itself would chase float
+        # steps of ln W far finer than those of W
+        calls = _count_evaluations(monkeypatch)
+        solve_characteristic(v)
+        assert 2 < len(calls) <= 24
+
+    @pytest.mark.parametrize("v", [*np.linspace(0.06, 2.4048, 24).tolist(), 0.2, 0.3671])
+    def test_matches_a_40_digit_root(self, v):
+        mode = solve_characteristic(v)
+        u_ref, w_ref = _reference_mode(v)
+        assert abs(mode.u / u_ref - 1.0) <= 1e-15
+        # K0(W) ~ -ln W, so ln W is fixed only to a few roundings of itself:
+        # W within 1e-13 while |ln W| <= 100, within 1e-15 |ln W| beyond
+        assert abs(math.log(mode.w / w_ref)) <= 1e-15 * max(100.0, -math.log(w_ref))
+
+    def test_solves_where_the_u_bracket_failed(self):
+        # the root's W is below V sqrt(2e-12), under the old bracket's U end
+        assert solve_characteristic(0.3671).w == pytest.approx(5.178e-7, rel=1e-3)
+        assert solve_characteristic(0.2).w == pytest.approx(2.782e-22, rel=1e-3)
+
     def test_underflowing_v_raises_solver_error(self):
-        # v*v underflows to a subnormal that the upper bracket end squares to
-        # as well, so W is 0 there and the characteristic function is 0 * inf
-        with pytest.raises(coupling.SolverError):
-            solve_characteristic(1e-160)
+        # the root's W, about 1.12 exp(-2/V^2), is below the smallest normal
+        # float, where the function, about V J1(V) ln(1/W) - J0(V), is still
+        # negative like the top end's -V K1(V); a subnormal V has no normal
+        # W below it at all
+        for v in (0.0531, 1e-160, 5e-324):
+            with pytest.raises(coupling.SolverError):
+                solve_characteristic(v)
 
     def test_invalid_v(self):
         with pytest.raises(ValueError):
