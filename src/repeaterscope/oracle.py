@@ -215,7 +215,7 @@ class McCascadeResult:
         est = 1.0
         var_log = 0.0
         for entered, reset in zip(self.entered_trials, self.reset_trials):
-            if entered == 0:
+            if reset == entered:  # no clean entrant, if any, got past this level
                 return 0.0, 0.0
             frac = reset / entered
             est *= 1.0 - frac

@@ -3,6 +3,7 @@ import pytest
 
 from repeaterscope.cascade import CascadeConfig
 from repeaterscope.oracle import (
+    McCascadeResult,
     MonteCarloConfig,
     dm_dejmps,
     dm_swap,
@@ -74,3 +75,19 @@ class TestMonteCarloSampler:
         assert mc.end_histogram[2] == 10_000  # 4 pairs -> 2 distilled -> min 2
         comp, _ = mc.completion_estimate()
         assert comp == 1.0
+
+    def test_level_where_every_entrant_resets_gives_zero_completion(self):
+        # 4 of 10 trials reach level 1 and all 4 reset there; the estimate's
+        # stderr would divide by 1 - 4/4
+        mc = McCascadeResult(
+            trials=10,
+            end_histogram=np.zeros(3, dtype=np.int64),
+            clean_trials=0,
+            reset_trials=np.array([6, 4]),
+            entered_trials=np.array([10, 4]),
+            swap_ops_sum=0.0,
+            swap_ops_sumsq=0.0,
+            distill_ops_sum=0.0,
+            distill_ops_sumsq=0.0,
+        )
+        assert mc.completion_estimate() == (0.0, 0.0)
