@@ -55,6 +55,18 @@ def _emit(records: dict | list[dict], fmt: str, out: str | None) -> None:
         # nested structures (trace, oracle) only fit the json format
         keys = [k for k, v in rows[0].items() if not isinstance(v, (dict, list))]
         text = sweep.csv_text(keys, ([row[k] for k in keys] for row in rows))
+    _write(text, out)
+
+
+def _emit_rows(rows: list[sweep.SweepRow], fmt: str, out: str | None) -> None:
+    """Write sweep rows: CSV through ``sweep.rows_to_csv``, JSON as records."""
+    if fmt == "csv":
+        _write(sweep.rows_to_csv(rows), out)
+    else:
+        _emit([dataclasses.asdict(r) for r in rows], fmt, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -172,13 +184,13 @@ def _cmd_chain(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     spec, profiles = sweep.load_config(args.config)
     rows = sweep.run_sweep(spec, profiles)
-    _emit([dataclasses.asdict(r) for r in rows], args.format, args.out or spec.output_path)
+    _emit_rows(rows, args.format, args.out or spec.output_path)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     spec = sweep.figure_preset(args.name)
     rows = sweep.run_sweep(spec)
-    _emit([dataclasses.asdict(r) for r in rows], args.format, args.out)
+    _emit_rows(rows, args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

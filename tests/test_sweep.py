@@ -615,6 +615,22 @@ class TestCli:
         assert out == ""
         assert via_config.read_bytes() == via_out.read_bytes()
 
+    def test_sweep_writes_the_rows_of_its_config(self, tmp_path, capsys):
+        raw = {
+            "media": ["HCF", "SMF", "X"],
+            "total_distance_km": [80.0, 400.0],
+            "conv_eff": [0.3, 0.5],
+            "eps_g": [0.001],
+            "m": 64,
+            "n_range": [0, 1, 2],
+            "media_profiles": {"X": {"att_length_km": {"1550": 30.0}, "coupling_mem_fiber": 0.5}},
+        }
+        config, out = tmp_path / "spec.json", tmp_path / "rows.csv"
+        config.write_text(json.dumps(raw))
+        assert self.run_cli(capsys, "sweep", "--config", str(config), "--out", str(out)) == (0, "")
+        spec, profiles = sweep.load_config(str(config))
+        assert out.read_bytes() == rows_to_csv(run_sweep(spec, profiles)).encode()
+
     def test_figure_writes_the_preset_rows(self, tmp_path, capsys):
         fig3 = tmp_path / "fig3.csv"
         assert self.run_cli(capsys, "figure", "fig3", "--out", str(fig3)) == (0, "")
