@@ -122,15 +122,22 @@ def solve_characteristic(v: float) -> ModeSolution:
     ``_falsi_root`` of ``_characteristic`` on t = ln(W/V), from 0 (U = 0, where
     it is -V K1(V)) down to U = 2.4048 above the cutoff or W = 2^-1022 below
     it, which are positive for V above 0.0531; below that floor W underflows
-    and ``SolverError`` is raised.  5-17 evaluations up to the cutoff; U within
-    1e-15 of the root and ln W within 1e-15 max(100, |ln W|), K0(W)'s limit.
+    and ``SolverError`` is raised.  The ends' signs are compared, not their
+    product, which underflows for V above about 350.  The ceiling is
+    K0(V) = 2^-970, about V = 669.3, where the function's values near the
+    root approach the subnormals; above it ``SolverError`` is raised.
+    5-17 evaluations up to the cutoff; U within 1e-15 of the root and ln W
+    within 1e-15 max(100, |ln W|), K0(W)'s limit, up to the cutoff, and U
+    within 1e-11 up to the ceiling.
     """
-    if v <= 0.0:
-        raise ValueError(f"V must be positive, got {v}")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"V must be positive and finite, got {v}")
+    if k0(v) < 2.0**-970:
+        raise SolverError(f"V = {v} is above the solver's ceiling K0(V) = 2^-970, V ~ 669.3")
     c = SINGLE_MODE_CUTOFF_V
     lo = 0.5 * math.log((1.0 - c / v) * (1.0 + c / v)) if v > c else math.log(2.0**-1022 / v)
     f_lo, f_hi = _characteristic(min(lo, 0.0), v), _characteristic(0.0, v)
-    if not f_lo * f_hi <= 0.0:
+    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
         raise SolverError(f"no sign change on ln(W/V) in ({lo}, 0) for V = {v}")
     w = v * math.exp(_falsi_root(lambda t: _characteristic(t, v), lo, 0.0, f_lo, f_hi))
     return ModeSolution(v=v, u=math.sqrt((v - w) * (v + w)), w=w)
@@ -150,8 +157,8 @@ def mode_field(
     radii and K0 only on cladding radii.
     """
     r = np.asarray(r_um, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("radius must be non-negative")
+    if not np.all((r >= 0.0) & (r < math.inf)):
+        raise ValueError("radius must be non-negative and finite")
     out = _field(r, fiber.core_radius_um, mode, _mode_constants(fiber, mode)[0])
     return float(out) if out.ndim == 0 else out
 
@@ -178,11 +185,11 @@ _EPSREL = 1e-10
 _MAX_PANELS = 300
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-widths and the 24+48 abscissae of the panels (lo, hi)."""
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 24+48 abscissae of the panels (lo, hi), one row per panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return half, mid[:, None] + half[:, None] * _NODES
+    return mid[:, None] + half[:, None] * _NODES
 
 
 def _gauss_legendre(
@@ -191,39 +198,53 @@ def _gauss_legendre(
     """Adaptive integral of ``fn`` over the adjacent panels (lo, hi).
 
     ``f`` is the first pass: the integrand on the panels' nodes, as
-    ``_panel_nodes`` places them.  Every pass bisects each panel whose
-    24/48-point gap exceeds its width's share of 1e-10 max(|total|, floor),
-    up to 300 panels, and calls ``fn``, which maps an array of abscissae to
-    integrand values, once on the nodes of the halves.  The summed gap is the
-    error estimate that gates the result.  ``floor`` sets the scale for an
+    ``_panel_nodes`` places them.  Two matrix-vector products give each
+    panel's 48- and 24-point sums; the gate runs on them as Python floats.
+    Every pass bisects each panel whose 24/48-point gap exceeds its width's
+    share of 1e-10 max(|total|, floor), up to 300 panels, and calls ``fn``,
+    which maps an array of abscissae to integrand values, once on the nodes
+    of the halves.  Each pass's values and gaps are added with ``math.fsum``
+    to the totals of the panels kept before it; the summed gap is the error
+    estimate that gates the result.  ``floor`` sets the scale for an
     integral that cancels towards zero.
     """
-    start, end = lo[0], hi[-1]
+    start, end = float(lo[0]), float(hi[-1])
     span = end - start
-    half = 0.5 * (hi - lo)
     done_val = done_err = 0.0
     panels = lo.size
     while True:
-        fine = half * (f[:, _COARSE:] @ _FINE_W)
-        gap = np.abs(fine - half * (f[:, :_COARSE] @ _COARSE_W))
-        val = done_val + fine.sum()
-        split = gap > _EPSREL * max(abs(val), floor) * (2.0 / span) * half
-        n_split = int(np.count_nonzero(split))
+        half = [0.5 * (b - a) for a, b in zip(lo.tolist(), hi.tolist())]
+        fine = [h * s for h, s in zip(half, (f[:, _COARSE:] @ _FINE_W).tolist())]
+        coarse = (f[:, :_COARSE] @ _COARSE_W).tolist()
+        gap = [abs(x - h * s) for x, h, s in zip(fine, half, coarse)]
+        val = done_val + _fsum(fine)
+        tol = _EPSREL * max(abs(val), floor) * (2.0 / span)
+        split = [g > tol * h for g, h in zip(gap, half)]
+        n_split = sum(split)
         if n_split == 0 or panels + n_split > _MAX_PANELS:
-            err = done_err + gap.sum()
+            err = done_err + _fsum(gap)
             break
-        keep = ~split
-        done_val += fine[keep].sum()
-        done_err += gap[keep].sum()
+        done_val += _fsum([x for x, s in zip(fine, split) if not s])
+        done_err += _fsum([g for g, s in zip(gap, split) if not s])
         lo, hi = lo[split], hi[split]
         mid = 0.5 * (hi + lo)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         panels += n_split
-        half, nodes = _panel_nodes(lo, hi)
-        f = fn(nodes)
+        f = fn(_panel_nodes(lo, hi))
     if not math.isfinite(val) or (err > 1e-8 * max(abs(val), floor) and err > 1e-13):
         raise QuadratureError(f"quadrature failed on ({start}, {end})")
-    return float(val)
+    return val
+
+
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, but NaN where it meets inf - inf and inf where the sum
+    leaves the float range, as numpy's sum gives, for the caller's checks."""
+    try:
+        return math.fsum(terms)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        return math.inf
 
 
 def _fiber_norm(fiber: StepIndexFiber, mode: ModeSolution) -> float:
@@ -267,7 +288,7 @@ def _starting_panels(
     # panels cut so that a narrow Gaussian and the core edge are both resolved
     cuts = sorted({0.0, min(r_gauss, a), a, r_max})
     lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
-    nodes = _panel_nodes(lo, hi)[1]
+    nodes = _panel_nodes(lo, hi)
     first = (lo, hi, nodes, _beam_integrand(nodes, waist_um, fiber, mode))
     for arr in first:
         arr.flags.writeable = False
@@ -351,12 +372,13 @@ def _falsi_root(fn, x0: float, x1: float, f0: float, f1: float) -> float:
     the end where ``fn`` is nearer zero, so the root is a point that ``fn``
     was evaluated at.
     """
-    while f0 * f1 < 0.0 and abs(x1 - x0) > 4.0 * math.ulp(x1):
+    # signs are compared, not multiplied: a product of two small values underflows
+    while (f0 < 0.0 < f1 or f1 < 0.0 < f0) and abs(x1 - x0) > 4.0 * math.ulp(x1):
         x = x1 - f1 * (x1 - x0) / (f1 - f0)
         step = 2.0 * math.ulp(x1)
         x = min(max(x, min(x0, x1) + step), max(x0, x1) - step)
         fx = fn(x)
-        if fx * f1 > 0.0:
+        if (fx > 0.0 and f1 > 0.0) or (fx < 0.0 and f1 < 0.0):
             f0 *= 0.5
         else:
             x0, f0 = x1, f1
@@ -399,8 +421,8 @@ def optimize_waist(
 
 def fresnel_transmission(n0: float, n1: float) -> float:
     """Power transmission of the index step n0 -> n1 at normal incidence."""
-    if n0 < 1.0 or n1 < 1.0:
-        raise ValueError("refractive indices must be at least 1")
+    if not (1.0 <= n0 < math.inf and 1.0 <= n1 < math.inf):
+        raise ValueError("refractive indices must be finite and at least 1")
     refl = ((n1 - n0) / (n1 + n0)) ** 2
     return 1.0 - refl
 

@@ -81,6 +81,27 @@ def _reference_mode(v: float) -> tuple[float, float]:
         return float(mpmath.sqrt(v * v - w * w)), float(w)
 
 
+def _reference_u_by_bisection(v: float) -> float:
+    """The LP01 U of the float V, bisected at 60 digits on (0, 2.4048).
+
+    The pole-free function is -W K1(W) < 0 at U = 0 and U J1(U) K0(W) > 0 at
+    the zero of J0, so the bracket needs no search in W, whose K0 is far
+    below the float range at large V.
+    """
+    with mpmath.workdps(60):
+        v = mpmath.mpf(v)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(coupling.SINGLE_MODE_CUTOFF_V)
+        for _ in range(120):
+            u = (lo + hi) / 2
+            w = mpmath.sqrt(v * v - u * u)
+            val = u * mpmath.besselj(1, u) * mpmath.besselk(0, w)
+            if val < w * mpmath.besselk(1, w) * mpmath.besselj(0, u):
+                lo = u
+            else:
+                hi = u
+        return float((lo + hi) / 2)
+
+
 def _count_evaluations(monkeypatch) -> list[float]:
     """The points at which ``coupling._characteristic`` is called from now on."""
     calls = []
@@ -187,9 +208,27 @@ class TestCharacteristicEquation:
             with pytest.raises(coupling.SolverError):
                 solve_characteristic(v)
 
+    # the root's end values, about K0(V), are near 2^-700 at V 500: their
+    # product, once used to compare signs, underflowed to zero from V 350
+    @pytest.mark.parametrize("v", [400.0, 500.0, 650.0])
+    def test_large_v_matches_a_60_digit_root(self, v):
+        mode = solve_characteristic(v)
+        # W lies within 2 V^-2 of V, so U = sqrt((V - W)(V + W)) carries the
+        # rounding of W relative to V - W
+        assert abs(mode.u / _reference_u_by_bisection(v) - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("v", [700.0, 1000.0])
+    def test_v_above_the_ceiling_raises_solver_error(self, v):
+        # K0(V) < 2^-970: the function's values near the root approach the
+        # subnormals, where the root finder's steps lose their precision
+        with pytest.raises(coupling.SolverError):
+            solve_characteristic(v)
+
     def test_invalid_v(self):
-        with pytest.raises(ValueError):
-            solve_characteristic(0.0)
+        # NaN and inf failed no test and raised SolverError "no sign change"
+        for v in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_characteristic(v)
 
     def test_mode_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -226,10 +265,10 @@ class TestModeField:
         assert field.tolist() == expected
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            mode_field(-1e-9, FIBER, MODE)
-        with pytest.raises(ValueError):
-            mode_field(np.array([0.0, -1.0]), FIBER, MODE)
+        # NaN passes a test for r < 0, and an infinite radius gave 0.0
+        for r in (-1e-9, np.array([0.0, -1.0]), math.nan, math.inf, np.array([0.0, math.nan])):
+            with pytest.raises(ValueError):
+                mode_field(r, FIBER, MODE)
 
     def test_monotone_decay_outside_core(self):
         a = FIBER.core_radius_um
@@ -389,6 +428,11 @@ class TestFresnel:
     def test_air_silica(self):
         assert fresnel_transmission(1.0, 1.45) == pytest.approx(0.966264, abs=1e-6)
 
+    @pytest.mark.parametrize("n0, n1", [(0.5, 1.45), (math.nan, 1.45), (1.0, math.nan), (math.inf, 1.45)])
+    def test_invalid_index_rejected(self, n0, n1):
+        with pytest.raises(ValueError):
+            fresnel_transmission(n0, n1)
+
     def test_ar_coating_overrides(self):
         coated = near_cutoff_smf(1550.0)
         bare = dataclasses.replace(coated, ar_coated=False)
@@ -486,10 +530,94 @@ def _reference_overlap(waist: float, a: float, mode: ModeSolution, q: float) -> 
 def integrate(fn, cuts) -> float:
     """``_gauss_legendre`` of ``fn`` from its first pass on the panels between the cuts."""
     lo, hi = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
-    return _gauss_legendre(fn, lo, hi, fn(coupling._panel_nodes(lo, hi)[1]))
+    return _gauss_legendre(fn, lo, hi, fn(coupling._panel_nodes(lo, hi)))
+
+
+def _array_gate(fn, lo, hi, f, floor=0.0) -> float:
+    """``_gauss_legendre`` as it ran on numpy arrays, with numpy's sums.
+
+    The float gate keeps its bits wherever no pass has more than two panels:
+    the same matrix-vector products give the panel sums, and a two-term
+    ``math.fsum`` rounds as numpy's sum of two does.
+    """
+    start, end = lo[0], hi[-1]
+    span = end - start
+    half = 0.5 * (hi - lo)
+    done_val = done_err = 0.0
+    panels = lo.size
+    while True:
+        fine = half * (f[:, coupling._COARSE :] @ coupling._FINE_W)
+        gap = np.abs(fine - half * (f[:, : coupling._COARSE] @ coupling._COARSE_W))
+        val = done_val + fine.sum()
+        split = gap > coupling._EPSREL * max(abs(val), floor) * (2.0 / span) * half
+        n_split = int(np.count_nonzero(split))
+        if n_split == 0 or panels + n_split > coupling._MAX_PANELS:
+            err = done_err + gap.sum()
+            break
+        keep = ~split
+        done_val += fine[keep].sum()
+        done_err += gap[keep].sum()
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (hi + lo)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        panels += n_split
+        half = 0.5 * (hi - lo)
+        f = fn(coupling._panel_nodes(lo, hi))
+    if not math.isfinite(val) or (err > 1e-8 * max(abs(val), floor) and err > 1e-13):
+        raise QuadratureError(f"quadrature failed on ({start}, {end})")
+    return float(val)
 
 
 class TestQuadrature:
+    def test_float_gate_keeps_the_array_gates_bits(self, monkeypatch):
+        widest, passes = {}, {}
+        float_gate = coupling._gauss_legendre
+
+        def tracking(fn, lo, hi, first, floor=0.0):
+            # the widest pass, in panels, and the number of passes
+            def counted(r):
+                widest[key] = max(widest[key], r.shape[0])
+                passes[key] += 1
+                return fn(r)
+
+            widest[key], passes[key] = lo.size, 1
+            return float_gate(counted, lo, hi, first, floor)
+
+        moved = {}
+        for v in GRID_V:
+            for wavelength in GRID_WAVELENGTHS:
+                fiber = _grid_fiber(v, wavelength)
+                mode = fiber_mode(fiber, wavelength)
+                k_free = 2.0 * math.pi / (wavelength * 1e-3)
+                for ratio in GRID_WAIST_OVER_A:
+                    for theta in GRID_THETAS:
+                        key = (v, wavelength, ratio, theta)
+                        args = (ratio * fiber.core_radius_um, fiber, mode, k_free * math.sin(theta))
+                        monkeypatch.setattr(coupling, "_gauss_legendre", tracking)
+                        eta = _overlap_from_waist(*args)
+                        monkeypatch.setattr(coupling, "_gauss_legendre", _array_gate)
+                        ref = _overlap_from_waist(*args)
+                        monkeypatch.undo()
+                        if widest[key] <= 2:
+                            assert eta == ref, key
+                        else:
+                            moved[key] = abs(eta / ref - 1.0)
+        assert sum(n > 1 for n in passes.values()) == 42
+        assert moved and max(moved.values()) <= 2e-13
+
+    def test_every_starting_pass_has_two_panels(self):
+        # a waist of at least 0.2a puts the Gaussian's cut, 0.2a sqrt(ln 1e16)
+        # = 1.21a, outside the core: the panels are the core and the cladding
+        for v in GRID_V:
+            for wavelength in GRID_WAVELENGTHS:
+                fiber = _grid_fiber(v, wavelength)
+                mode = fiber_mode(fiber, wavelength)
+                a = fiber.core_radius_um
+                for waist in np.geomspace(0.2 * a, 5.0 * a, 25).tolist():
+                    lo, hi, nodes, first = coupling._starting_panels(waist, fiber, mode)
+                    assert lo.size == 2 and nodes.shape == first.shape == (2, 72)
+                    assert hi[0] == lo[1] == a
+
     @pytest.mark.parametrize("wavelength", GRID_WAVELENGTHS)
     @pytest.mark.parametrize("v", GRID_V)
     def test_overlap_matches_quadpack(self, v, wavelength):
