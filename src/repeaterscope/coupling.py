@@ -127,8 +127,8 @@ def solve_characteristic(v: float) -> ModeSolution:
     K0(V) = 2^-970, about V = 669.3, where the function's values near the
     root approach the subnormals; above it ``SolverError`` is raised.
     5-17 evaluations up to the cutoff; U within 1e-15 of the root and ln W
-    within 1e-15 max(100, |ln W|), K0(W)'s limit, up to the cutoff, and U
-    within 1e-11 up to the ceiling.
+    within 1e-15 max(100, |ln W|), K0(W)'s limit, up to the cutoff; above it
+    U is within 1.2e-11, two roundings of W carried into sqrt((V - W)(V + W)).
     """
     if not 0.0 < v < math.inf:
         raise ValueError(f"V must be positive and finite, got {v}")

@@ -428,7 +428,9 @@ class TestFresnel:
     def test_air_silica(self):
         assert fresnel_transmission(1.0, 1.45) == pytest.approx(0.966264, abs=1e-6)
 
-    @pytest.mark.parametrize("n0, n1", [(0.5, 1.45), (math.nan, 1.45), (1.0, math.nan), (math.inf, 1.45)])
+    @pytest.mark.parametrize(
+        "n0, n1", [(0.5, 1.45), (math.nan, 1.45), (1.0, math.nan), (math.inf, 1.45)]
+    )
     def test_invalid_index_rejected(self, n0, n1):
         with pytest.raises(ValueError):
             fresnel_transmission(n0, n1)
@@ -702,8 +704,15 @@ class TestQuadrature:
             integrate(lambda x: np.cos(1e6 * x), [0.0, 1.0])
 
     def test_non_finite_integrand_raises(self):
-        with pytest.raises(QuadratureError):
-            integrate(lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0])
+        # NaN, infinities of both signs (where math.fsum raises ValueError)
+        # and finite panels whose sum overflows (where it raises OverflowError)
+        for fn, cuts in (
+            (lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0]),
+            (lambda x: np.where(x < 1.0, np.inf, -np.inf), [0.0, 1.0, 2.0]),
+            (lambda x: np.full_like(x, 6e307), [0.0, 2.0, 4.0]),
+        ):
+            with pytest.raises(QuadratureError):
+                integrate(fn, cuts)
 
     def test_couple_exits_3_on_quadrature_failure(self, monkeypatch, tmp_path, capsys):
         def fail(fn, lo, hi, first, floor=0.0):
