@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import metrics, sweep
+from . import sweep
 from .cascade import CascadeConfig
 from .channel import (
     TELECOM_NM,
@@ -30,7 +30,7 @@ from .channel import (
     select_wavelength,
 )
 from .protocol import ChainPlan, ProtocolConfig, build_schedule
-from .states import NoiseParams, key_fraction
+from .states import NoiseParams
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -141,8 +141,8 @@ def _chain_payload(args: argparse.Namespace) -> dict:
         "expected_end_pairs": point.expected_end_pairs,
         "completion_prob": point.completion_prob,
         "end_fidelity": point.end_state.fidelity(),
-        "key_fraction": key_fraction(point.end_state),
-        "ops_per_secret_bit": metrics.ops_per_secret_bit(point),
+        "key_fraction": plan.key,
+        "ops_per_secret_bit": point.ops_per_secret_bit,
         "two_qubit_gates_per_burst": point.ops.two_qubit_gates,
         "measurements_per_burst": point.ops.measurements,
         "mass_defect": point.mass_defect,
@@ -157,7 +157,7 @@ def _chain_payload(args: argparse.Namespace) -> dict:
                 "pre_fidelity": step.pre_state.fidelity(),
                 "distilled": step.distilled,
                 "distill_success": step.distill_success,
-                "post_fidelity": step.fidelity,
+                "post_fidelity": step.post_state.fidelity(),
             }
             for step in trace.steps
         ]

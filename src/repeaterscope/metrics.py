@@ -9,13 +9,8 @@ the level executes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .protocol import PerformancePoint
-
+from typing import Sequence
 
 # gates and measurements charged per swap and per distillation attempt
 SWAP_GATES = 1
@@ -48,12 +43,3 @@ def ops_per_burst(swaps: Sequence[float], distill_attempts: Sequence[float]) -> 
         two_qubit_gates=swap_total * SWAP_GATES + distills * DISTILL_GATES,
         measurements=swap_total * SWAP_MEASUREMENTS + distills * DISTILL_MEASUREMENTS,
     )
-
-
-def ops_per_secret_bit(point: "PerformancePoint") -> float:
-    """Two-qubit gates spent per delivered secret bit; inf in no-key regimes."""
-    secret_bits = point.skr_pcu * point.m * (1 << point.n)
-    if secret_bits <= 0.0:
-        return math.inf
-    return point.ops.two_qubit_gates / secret_bits
-

@@ -12,6 +12,7 @@ elementary links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,10 +75,6 @@ class LevelStep:
     distill_success: float
     post_state: BellDiagonal
 
-    @property
-    def fidelity(self) -> float:
-        return self.post_state.fidelity()
-
 
 @dataclass(frozen=True)
 class LevelTrace:
@@ -111,6 +108,14 @@ class PerformancePoint:
     m: int
     mass_defect: float
     diagnostic: str | None
+
+    @property
+    def ops_per_secret_bit(self) -> float:
+        """Two-qubit gates spent per delivered secret bit; inf in no-key regimes."""
+        secret_bits = self.skr_pcu * self.m * (1 << self.n)
+        if secret_bits <= 0.0:
+            return math.inf
+        return self.ops.two_qubit_gates / secret_bits
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 _SUM_TOL = 1e-12
 
+# infidelity of the heralded elementary link per unit gate error
+HERALD_INFIDELITY = 1.25
+
 
 class DegenerateInputError(ValueError):
     """Raised when a heralded operation has zero acceptance probability."""
@@ -57,8 +60,9 @@ class NoiseParams:
     t2: float = math.inf
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eps_g <= 0.8:
-            raise ValueError(f"eps_g must lie in [0, 0.8], got {self.eps_g}")
+        top = 1.0 / HERALD_INFIDELITY
+        if not 0.0 <= self.eps_g <= top:
+            raise ValueError(f"eps_g must lie in [0, {top}], got {self.eps_g}")
         if not self.t2 > 0.0:
             raise ValueError(f"t2 must be positive, got {self.t2}")
 
@@ -80,7 +84,7 @@ def initial_state(eps_g: float) -> BellDiagonal:
     ``1 - 1.25 * eps_g``; the loss is spread evenly over the other three
     Bell components (Werner form).
     """
-    return werner(1.0 - 1.25 * eps_g)
+    return werner(1.0 - HERALD_INFIDELITY * eps_g)
 
 
 def apply_dephasing(state: BellDiagonal, t: float, t2: float) -> BellDiagonal:

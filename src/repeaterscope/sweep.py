@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from . import metrics
 from .channel import (
     ConfigurationError,
     LinkBudget,
@@ -241,7 +240,7 @@ def _sweep_row(
         best_l0_km=point.l0_km,
         skr_pcu=point.skr_pcu,
         completion_prob=point.completion_prob,
-        ops_per_secret_bit=metrics.ops_per_secret_bit(point),
+        ops_per_secret_bit=point.ops_per_secret_bit,
         gate_ops_per_burst=point.ops.two_qubit_gates,
         measurement_ops_per_burst=point.ops.measurements,
         mass_defect=point.mass_defect,

@@ -303,6 +303,32 @@ class TestRunCascade:
         with pytest.raises(ValueError):
             CascadeConfig(n=1, m=4, pi0=0.5, distill_flags=(False, True))
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            pytest.param({"n": -1}, "nesting depth must be non-negative", id="negative-depth"),
+            pytest.param({"m": 0}, "multiplexing width must be at least 1", id="zero-width"),
+            pytest.param({"distill_flags": (True, False)}, "distill_flags must have one entry",
+                         id="short-flags"),
+            pytest.param({"distill_success": (0.9, 1.0, 1.0, 1.0)},
+                         "distill_success must have one entry", id="long-success"),
+            pytest.param({"distill_success": (0.9, 1.5, 1.0)}, r"must lie in \[0, 1\]",
+                         id="success-above-1"),
+            pytest.param({"distill_success": (-0.1, 1.0, 1.0)}, r"must lie in \[0, 1\]",
+                         id="success-below-0"),
+            pytest.param({"distill_success": (math.nan, 1.0, 1.0)}, r"must lie in \[0, 1\]",
+                         id="success-nan"),
+        ],
+    )
+    def test_schedule_outside_its_ranges_rejected(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            CascadeSchedule(**{"n": 2, "m": 8, **fields})
+
+    @pytest.mark.parametrize("pi0", [-0.1, 1.5, math.nan])
+    def test_config_pi0_outside_the_unit_interval_rejected(self, pi0):
+        with pytest.raises(ValueError, match=r"pi0 must lie in \[0, 1\], got"):
+            CascadeConfig(n=1, m=4, pi0=pi0)
+
     def test_all_distributions_normalized(self):
         config = CascadeConfig(
             n=3,

@@ -51,6 +51,9 @@ class TestProfiles:
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
             LinkBudget(eta_hardware=1.2, conv_eff=0.5, l0_km=10.0)
+        for conv_eff in (-0.1, 1.5, math.nan):
+            with pytest.raises(ConfigurationError, match="conv_eff must lie in"):
+                LinkBudget(eta_hardware=1.0, conv_eff=conv_eff, l0_km=10.0)
         with pytest.raises(ConfigurationError):
             LinkBudget(eta_hardware=1.0, conv_eff=0.5, l0_km=0.0)
 

@@ -180,6 +180,11 @@ def test_malformed_sweep_config_exits_2(config, tmp_path, capsys):
                      id="string-attenuation"),
         pytest.param(_sweep(media_profiles=[]), "media_profiles", id="empty-profiles-list"),
         pytest.param(["chain", "--n", "13"], "nesting depth", id="chain-depth-13"),
+        pytest.param(["chain", "--f-th", "1.5"], "fidelity threshold must lie in [0, 1]",
+                     id="chain-threshold-1.5"),
+        pytest.param(["chain", "--m", "16", "--oracle", "--trials", "0"],
+                     "trials must be positive", id="oracle-trials-0"),
+        pytest.param(_sweep(media=[1]), "media entries must be names", id="numeric-media-entry"),
         pytest.param(["chain", "--n", "19", "--eps-g", "0.1", "--t2", "inf", "--m", "16"],
                      "nesting depth", id="chain-depth-19"),
         # a sweep's depths are checked before a spacing is formed from them

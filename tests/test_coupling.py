@@ -136,6 +136,30 @@ class TestNormalizedFrequency:
             normalized_frequency(fiber, 1550.0) / 2.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("wavelength", [0.0, -1550.0, math.nan, math.inf])
+    def test_invalid_wavelength_rejected(self, wavelength):
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            normalized_frequency(SMF28, wavelength)
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            GaussianBeam(5.0, wavelength)
+
+
+class TestStepIndexFiber:
+    @pytest.mark.parametrize(
+        "radius, n1, n2, named",
+        [
+            pytest.param(0.0, 1.45, 1.44, "core radius", id="zero-radius"),
+            pytest.param(math.inf, 1.45, 1.44, "core radius", id="infinite-radius"),
+            pytest.param(math.nan, 1.45, 1.44, "core radius", id="nan-radius"),
+            pytest.param(4.1, 1.44, 1.45, "n1 > n2", id="core-below-cladding"),
+            pytest.param(4.1, 0.95, 0.9, "n1 > n2", id="cladding-below-1"),
+            pytest.param(4.1, 2.0, 1.0, "numerical aperture", id="aperture-above-1"),
+        ],
+    )
+    def test_invalid_geometry_rejected(self, radius, n1, n2, named):
+        with pytest.raises(ValueError, match=named):
+            StepIndexFiber(radius, n1, n2)
+
 
 class TestCharacteristicEquation:
     def test_near_cutoff_root(self):
@@ -233,6 +257,19 @@ class TestCharacteristicEquation:
     def test_mode_invariant_enforced(self):
         with pytest.raises(ValueError):
             ModeSolution(v=2.0, u=1.0, w=1.0)
+
+    @pytest.mark.parametrize(
+        "u, w, named",
+        [
+            pytest.param(0.0, 1.0, "u outside", id="u-zero"),
+            pytest.param(2.5, math.sqrt(3.0**2 - 2.5**2), "u outside", id="u-above-cutoff"),
+            pytest.param(1.0, 0.0, "w must be positive", id="w-zero"),
+            pytest.param(1.0, -1.0, "w must be positive", id="w-negative"),
+        ],
+    )
+    def test_mode_outside_the_guided_range_rejected(self, u, w, named):
+        with pytest.raises(ValueError, match=named):
+            ModeSolution(v=math.hypot(u, w), u=u, w=w)
 
     def test_non_finite_mode_rejected(self):
         # NaN slips through every comparison of the u^2 + w^2 = v^2 check
@@ -343,6 +380,40 @@ class TestOverlap:
                 _reference_stationarity, 0.2 * a, 5.0 * a, args=(a, mode), xtol=1e-15 * a, rtol=1e-15
             )
         assert abs(w_opt - reference) <= 1e-13 * reference
+
+    @pytest.mark.parametrize(
+        "root_over_a, evaluations",
+        [
+            pytest.param(3.0, 4, id="above-the-fit-bracket"),
+            pytest.param(0.5, 5, id="below-the-fit-bracket"),
+            pytest.param(0.1, 3, id="below-the-lower-bound"),
+            pytest.param(6.0, 3, id="above-the-upper-bound"),
+        ],
+    )
+    def test_bracket_extends_to_the_bound_the_slope_points_at(
+        self, root_over_a, evaluations, monkeypatch
+    ):
+        # Marcuse's fit lies within 2.2% of the true root for V in [1, 600],
+        # so a synthetic slope, positive below its root, moves the root out
+        a = FIBER.core_radius_um
+        root = root_over_a * a
+        w_fit = a * (0.65 + 1.619 * MODE.v**-1.5 + 2.879 * MODE.v**-6)
+        slopes = []
+
+        def slope(waist, fiber, mode):
+            slopes.append(waist)
+            return root - waist
+
+        monkeypatch.setattr(coupling, "_stationarity", slope)
+        w_opt, _ = optimize_waist(FIBER, MODE)
+        bound = 5.0 * a if root_over_a > 1.0 else 0.2 * a
+        assert slopes[:3] == [0.97 * w_fit, 1.03 * w_fit, bound]
+        assert len(slopes) == evaluations
+        if 0.2 <= root_over_a <= 5.0:
+            assert w_opt in slopes
+            assert abs(w_opt - root) <= 4.0 * math.ulp(root)
+        else:
+            assert w_opt == bound
 
     def test_falsi_root_closes_on_an_evaluated_root(self):
         tried = []
@@ -704,12 +775,16 @@ class TestQuadrature:
             integrate(lambda x: np.cos(1e6 * x), [0.0, 1.0])
 
     def test_non_finite_integrand_raises(self):
-        # NaN, infinities of both signs (where math.fsum raises ValueError)
-        # and finite panels whose sum overflows (where it raises OverflowError)
+        # NaN, infinities of both signs (where math.fsum raises ValueError),
+        # finite panels whose sum overflows (where it raises OverflowError),
+        # and NaN at one 24-point node only, which leaves the 48-point value
+        # finite and the error estimate NaN
+        node = coupling._panel_nodes(np.zeros(1), np.ones(1))[0, 0]
         for fn, cuts in (
             (lambda x: np.where(x < 0.5, x, np.nan), [0.0, 1.0]),
             (lambda x: np.where(x < 1.0, np.inf, -np.inf), [0.0, 1.0, 2.0]),
             (lambda x: np.full_like(x, 6e307), [0.0, 2.0, 4.0]),
+            (lambda x: np.where(x == node, np.nan, np.cos(x)), [0.0, 1.0]),
         ):
             with pytest.raises(QuadratureError):
                 integrate(fn, cuts)

@@ -1,13 +1,25 @@
+import ast
+import inspect
 import math
 
 import pytest
 
+from repeaterscope import metrics
 from repeaterscope.cascade import CascadeConfig, run_cascade_batch
 from repeaterscope.channel import LinkBudget, hcf_profile, smf_profile
-from repeaterscope.metrics import ops_per_burst, ops_per_secret_bit
+from repeaterscope.metrics import ops_per_burst
 from repeaterscope.oracle import MonteCarloConfig, mc_cascade
 from repeaterscope.protocol import ProtocolConfig, evaluate_chain
 from repeaterscope.states import NoiseParams
+
+
+def test_metrics_is_a_leaf_module():
+    # the prices import no other repeaterscope module, so any layer can use them
+    for node in ast.walk(ast.parse(inspect.getsource(metrics))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("repeaterscope"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("repeaterscope") for alias in node.names)
 
 
 class TestOpsPerBurst:
@@ -69,7 +81,7 @@ class TestOpsPerSecretBit:
             m=1,
         )
         point = evaluate_chain(config)
-        assert ops_per_secret_bit(point) == 0.0
+        assert point.ops_per_secret_bit == 0.0
 
     def test_no_key_regime_is_infinite(self):
         medium = smf_profile()
@@ -81,7 +93,7 @@ class TestOpsPerSecretBit:
             m=4,
         )
         point = evaluate_chain(config)
-        assert math.isinf(ops_per_secret_bit(point))
+        assert math.isinf(point.ops_per_secret_bit)
 
     def test_homogeneity_in_key_rate(self):
         medium = hcf_profile()
@@ -96,8 +108,8 @@ class TestOpsPerSecretBit:
         halved = point.__class__(
             **{**point.__dict__, "skr_pcu": point.skr_pcu / 2}
         )
-        assert ops_per_secret_bit(halved) == pytest.approx(
-            2 * ops_per_secret_bit(point)
+        assert halved.ops_per_secret_bit == pytest.approx(
+            2 * point.ops_per_secret_bit
         )
 
     def test_smf_needs_more_ops_at_400km(self):
@@ -118,6 +130,6 @@ class TestOpsPerSecretBit:
                 skr = point.skr_pcu
                 if best is None or skr > best[0]:
                     best = (skr, point)
-            ratios.append(ops_per_secret_bit(best[1]))
+            ratios.append(best[1].ops_per_secret_bit)
         assert ratios[0] / ratios[1] > 1.0
 

@@ -60,7 +60,7 @@ class TestBuildSchedule:
         config = make_config(eps=0.0, t2=math.inf, n=4, m=64)
         trace = build_schedule(config)
         assert all(not step.distilled for step in trace.steps)
-        assert all(step.fidelity == pytest.approx(1.0) for step in trace.steps)
+        assert all(step.post_state.fidelity() == pytest.approx(1.0) for step in trace.steps)
 
     def test_zero_threshold_never_distills(self):
         config = make_config(eps=1e-2, f_th=0.0, n=3, m=64)
@@ -170,7 +170,7 @@ class TestEvaluateChain:
     def test_fidelity_decays_with_depth_without_distillation(self):
         config = make_config(eps=1e-3, f_th=0.0, n=4, m=16)
         trace = build_schedule(config)
-        fids = [step.fidelity for step in trace.steps]
+        fids = [step.post_state.fidelity() for step in trace.steps]
         assert all(hi > lo for hi, lo in zip(fids, fids[1:]))
 
     def test_wavelength_invariant_under_hardware_scaling(self):

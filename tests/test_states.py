@@ -53,7 +53,7 @@ class TestBellDiagonal:
     def test_noise_params_rejects_eps_g_past_zero_link_fidelity(self):
         # at eps_g = 0.8 the heralded link's fidelity 1 - 1.25 eps_g is 0
         assert initial_state(NoiseParams(0.8).eps_g).fidelity() == 0.0
-        with pytest.raises(ValueError, match="eps_g"):
+        with pytest.raises(ValueError, match=r"^eps_g must lie in \[0, 0\.8\], got 0\.81$"):
             NoiseParams(0.81)
 
 
