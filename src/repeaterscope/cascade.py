@@ -102,8 +102,11 @@ def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
     odd = probs[:, 1::2]
     grouped[:, : odd.shape[1]] += odd
     # each row stops at its last group with mass: a table row costs a Pascal
-    # step, and most of the tail of a wide binomial underflows to zero
-    support = [len(g) - np.argmax(g[::-1] != 0.0) for g in grouped]
+    # step, and most of the tail of a wide binomial underflows to zero.  A row
+    # without mass (NaN or all zero: a certain reset) stops at its first, so
+    # that it does not size the table; Pascal rows do not depend on the rows
+    # that follow them, so no other row's bits move
+    support = [len(g) - np.argmax(g[::-1] != 0.0) if g.sum() > 0.0 else 1 for g in grouped]
     table = _thinning_table(max(support), cap, float(_flush_subnormal(d)))
     # one vector-matrix product per row: a matrix product would round a row
     # differently depending on the batch around it
@@ -343,6 +346,12 @@ def end_pairs_bound(m: int, pi0: float) -> float:
 
     So the bound holds for every schedule.  A computed row meets it to far
     within 1e-12 relative; callers compare with that slack.
+
+    The same steps give a tighter bound at depth n.  Since 1 - r <= 1,
+    s_{i+1} <= s_i**2, so s_i <= s_0**(2**i), and chaining
+    mu_{i+1} <= s_i mu_i from mu_0 = m pi0 gives
+    ``expected_end_pairs`` <= m pi0 s_0**(2**n - 1).  The factor needs no
+    schedule; ``protocol.skr_bounds`` applies it.
     """
     return m * pi0
 

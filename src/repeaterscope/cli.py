@@ -105,10 +105,12 @@ def _cmd_couple(args: argparse.Namespace) -> None:
     w_opt, _ = coupling.optimize_waist(fiber, mode)
     beam = coupling.GaussianBeam(waist_um=w_opt, wavelength_nm=args.wavelength)
     facet = coupling.facet_transmission(fiber)
+    # the column names the run's wavelength: eta_smf_1550, eta_smf_780
+    column = f"eta_smf_{args.wavelength:.15g}"
     rows = [
         {
             "theta_rad": theta,
-            "eta_smf_1550": coupling.tilted_eta(beam, fiber, mode, theta) * facet,
+            column: coupling.tilted_eta(beam, fiber, mode, theta) * facet,
             "eta_constants_hcf": coupling.effective_coupling("HCF", theta),
         }
         for theta in map(float, np.linspace(0.0, args.theta_max, args.points))

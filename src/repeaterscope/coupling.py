@@ -16,6 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -195,28 +196,45 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return mid[:, None] + half[:, None] * _NODES
 
 
-def _gauss_legendre(
-    fn, lo: np.ndarray, hi: np.ndarray, f: np.ndarray, floor: float = 0.0
-) -> float:
-    """Adaptive integral of ``fn`` over the adjacent panels (lo, hi).
+class _Panels(NamedTuple):
+    """Adjacent panels (lo, hi) and their nodes, read-only; for the gate,
+    each panel's half-width and the two ends as Python floats."""
 
-    ``f`` is the first pass: the integrand on the panels' nodes, as
-    ``_panel_nodes`` places them.  Two matrix-vector products give each
-    panel's 48- and 24-point sums; the gate runs on them as Python floats.
-    Every pass bisects each panel whose 24/48-point gap exceeds its width's
-    share of 1e-10 max(|total|, floor), up to 300 panels, and calls ``fn``,
-    which maps an array of abscissae to integrand values, once on the nodes
-    of the halves.  Each pass's values and gaps are added with ``math.fsum``
-    to the totals of the panels kept before it; the summed gap is the error
-    estimate that gates the result.  ``floor`` sets the scale for an
-    integral that cancels towards zero.
+    lo: np.ndarray
+    hi: np.ndarray
+    nodes: np.ndarray
+    half: tuple[float, ...]
+    start: float
+    end: float
+
+
+def _panels_between(lo: np.ndarray, hi: np.ndarray) -> _Panels:
+    """The panels (lo, hi) with their nodes placed by ``_panel_nodes``."""
+    nodes = _panel_nodes(lo, hi)
+    for arr in (lo, hi, nodes):
+        arr.flags.writeable = False
+    half = tuple(0.5 * (b - a) for a, b in zip(lo.tolist(), hi.tolist()))
+    return _Panels(lo, hi, nodes, half, float(lo[0]), float(hi[-1]))
+
+
+def _gauss_legendre(fn, panels: _Panels, f: np.ndarray, floor: float = 0.0) -> float:
+    """Adaptive integral of ``fn`` over ``panels``.
+
+    ``f`` is the first pass: the integrand on the panels' nodes.  Two
+    matrix-vector products give each panel's 48- and 24-point sums; the gate
+    runs on them as Python floats.  Every pass bisects each panel whose
+    24/48-point gap exceeds its width's share of 1e-10 max(|total|, floor),
+    up to 300 panels, and calls ``fn``, which maps an array of abscissae to
+    integrand values, once on the nodes of the halves.  Each pass's values
+    and gaps are added with ``math.fsum`` to the totals of the panels kept
+    before it; the summed gap is the error estimate that gates the result.
+    ``floor`` sets the scale for an integral that cancels towards zero.
     """
-    start, end = float(lo[0]), float(hi[-1])
-    span = end - start
+    lo, hi, half = panels.lo, panels.hi, panels.half
+    span = panels.end - panels.start
     done_val = done_err = 0.0
-    panels = lo.size
+    n_panels = lo.size
     while True:
-        half = [0.5 * (b - a) for a, b in zip(lo.tolist(), hi.tolist())]
         fine = [h * s for h, s in zip(half, (f[:, _COARSE:] @ _FINE_W).tolist())]
         coarse = (f[:, :_COARSE] @ _COARSE_W).tolist()
         gap = [abs(x - h * s) for x, h, s in zip(fine, half, coarse)]
@@ -224,7 +242,7 @@ def _gauss_legendre(
         tol = _EPSREL * max(abs(val), floor) * (2.0 / span)
         split = [g > tol * h for g, h in zip(gap, half)]
         n_split = sum(split)
-        if n_split == 0 or panels + n_split > _MAX_PANELS:
+        if n_split == 0 or n_panels + n_split > _MAX_PANELS:
             err = done_err + _fsum(gap)
             break
         done_val += _fsum([x for x, s in zip(fine, split) if not s])
@@ -232,11 +250,12 @@ def _gauss_legendre(
         lo, hi = lo[split], hi[split]
         mid = 0.5 * (hi + lo)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        panels += n_split
+        n_panels += n_split
+        half = [0.5 * (b - a) for a, b in zip(lo.tolist(), hi.tolist())]
         f = fn(_panel_nodes(lo, hi))
     # written to accept, so that a NaN error estimate fails it
     if not (math.isfinite(val) and (err <= 1e-8 * max(abs(val), floor) or err <= 1e-13)):
-        raise QuadratureError(f"quadrature failed on ({start}, {end})")
+        raise QuadratureError(f"quadrature failed on ({panels.start}, {panels.end})")
     return val
 
 
@@ -275,28 +294,41 @@ def _beam_integrand(
     return field * np.exp(-((r / waist_um) ** 2)) * r
 
 
-@functools.lru_cache(maxsize=64)
-def _starting_panels(
-    waist_um: float, fiber: StepIndexFiber, mode: ModeSolution
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A beam's first quadrature pass: its panels' bounds, their nodes and
-    the untilted integrand on those nodes, all read-only.
-
-    Every tilt of the beam starts from the same panels, so each of its
-    overlaps refines from this pass.
-    """
+def _panels(waist_um: float, fiber: StepIndexFiber, mode: ModeSolution) -> _Panels:
+    """A beam's first-pass panels, out to where its overlap integrand falls
+    to 1e-16 of its peak."""
     a = fiber.core_radius_um
     r_clad = a * (1.0 + _TAIL_CUT / mode.w + 2.0)
     r_gauss = waist_um * math.sqrt(_TAIL_CUT)
     r_max = max(min(r_clad, a + r_gauss), 1.01 * a)
     # panels cut so that a narrow Gaussian and the core edge are both resolved
     cuts = sorted({0.0, min(r_gauss, a), a, r_max})
-    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
-    nodes = _panel_nodes(lo, hi)
-    first = (lo, hi, nodes, _beam_integrand(nodes, waist_um, fiber, mode))
-    for arr in first:
-        arr.flags.writeable = False
-    return first
+    return _panels_between(np.array(cuts[:-1]), np.array(cuts[1:]))
+
+
+class _Beam(NamedTuple):
+    """A beam's first quadrature pass: its panels, the untilted integrand on
+    their nodes (read-only), and the overlap's denominator ``_fiber_norm``
+    times the Gaussian's power."""
+
+    panels: _Panels
+    first: np.ndarray
+    norm: float
+
+
+@functools.lru_cache(maxsize=64)
+def _starting_panels(waist_um: float, fiber: StepIndexFiber, mode: ModeSolution) -> _Beam:
+    """A beam's first quadrature pass, once per beam.
+
+    Every tilt of the beam starts from the same panels, so each of its
+    overlaps refines from this pass.
+    """
+    panels = _panels(waist_um, fiber, mode)
+    first = _beam_integrand(panels.nodes, waist_um, fiber, mode)
+    first.flags.writeable = False
+    # the Gaussian's power out to r_gauss, where the integrand is 1e-16 of its peak
+    gauss_norm = 0.25 * waist_um**2 * -math.expm1(-2.0 * _TAIL_CUT)
+    return _Beam(panels, first, _mode_constants(fiber, mode)[1] * gauss_norm)
 
 
 def _overlap_from_waist(
@@ -317,14 +349,12 @@ def _overlap_from_waist(
         val = _beam_integrand(r, waist_um, fiber, mode)
         return val * j0(tilt_wavenumber * r) if tilt_wavenumber != 0.0 else val
 
-    lo, hi, nodes, first = _starting_panels(waist_um, fiber, mode)
+    beam = _starting_panels(waist_um, fiber, mode)
+    first = beam.first
     if tilt_wavenumber != 0.0:
-        first = first * j0(tilt_wavenumber * nodes)
-    num = _gauss_legendre(integrand, lo, hi, first)
-    # the Gaussian's power out to r_gauss, where the integrand is 1e-16 of its peak
-    gauss_norm = 0.25 * waist_um**2 * -math.expm1(-2.0 * _TAIL_CUT)
-    eta = num * num / (_mode_constants(fiber, mode)[1] * gauss_norm)
-    return min(eta, 1.0)
+        first = first * j0(tilt_wavenumber * beam.panels.nodes)
+    num = _gauss_legendre(integrand, beam.panels, first)
+    return min(num * num / beam.norm, 1.0)
 
 
 def overlap_eta(
@@ -348,21 +378,46 @@ def tilted_eta(
     return _overlap_from_waist(beam.waist_um, fiber, mode, tilt_wavenumber=q)
 
 
-def _stationarity(waist_um: float, fiber: StepIndexFiber, mode: ModeSolution) -> float:
-    """The overlap's waist slope up to a positive factor, from the beam's first pass.
+class _Layout(NamedTuple):
+    """The waist search's nodes: a waist's first-pass panels and the mode
+    field times r on their nodes, for the slopes of that waist and every
+    smaller one."""
+
+    panels: _Panels
+    field_r: np.ndarray
+    fiber: StepIndexFiber
+    mode: ModeSolution
+
+
+def _layout(waist_um: float, fiber: StepIndexFiber, mode: ModeSolution) -> _Layout:
+    """The first-pass panels of ``waist_um`` with the mode field times r on them."""
+    panels = _panels(waist_um, fiber, mode)
+    field = _field(panels.nodes, fiber.core_radius_um, mode, _mode_constants(fiber, mode)[0])
+    return _Layout(panels, field * panels.nodes, fiber, mode)
+
+
+def _stationarity(waist_um: float, layout: _Layout) -> float:
+    """The overlap's waist slope up to a positive factor, on the search's layout.
 
     With N(w) the overlap numerator, sqrt(eta) is proportional to N/w, whose
     derivative is g(w)/w^2 with g = w N' - N, the integral of
-    F(r) exp(-r^2/w^2) r (2 r^2/w^2 - 1).  g vanishes at the optimum, so its
-    refinement is gated on the scale of N, summed from the same first pass.
+    F(r) exp(-r^2/w^2) r (2 r^2/w^2 - 1).  The first pass multiplies the
+    layout's F(r) r by the Gaussian and the factor; a layout placed for a
+    waist at least ``waist_um`` reaches at least as far as this waist's own
+    panels.  g vanishes at the optimum, so its refinement is gated on the
+    scale of N, summed from the same first pass; a refinement pass evaluates
+    the integrand afresh.
     """
+    panels, field_r, fiber, mode = layout
+    s = (panels.nodes / waist_um) ** 2
+    gauss = field_r * np.exp(-s)
+    sums = (gauss[:, _COARSE:] @ _FINE_W).tolist()
+    scale = abs(_fsum([h * x for h, x in zip(panels.half, sums)]))
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return _beam_integrand(r, waist_um, fiber, mode) * (2.0 * (r / waist_um) ** 2 - 1.0)
 
-    lo, hi, nodes, first = _starting_panels(waist_um, fiber, mode)
-    scale = abs(float(0.5 * (hi - lo) @ (first[:, _COARSE:] @ _FINE_W)))
-    return _gauss_legendre(integrand, lo, hi, first * (2.0 * (nodes / waist_um) ** 2 - 1.0), scale)
+    return _gauss_legendre(integrand, panels, gauss * (2.0 * s - 1.0), scale)
 
 
 def _falsi_root(fn, x0: float, x1: float, f0: float, f1: float) -> float:
@@ -399,9 +454,11 @@ def optimize_waist(
     1.03 times Marcuse's fit w/a = 0.65 + 1.619 V^-1.5 + 2.879 V^-6 (Bell
     Syst. Tech. J. 56, 703, 1977), clipped to the bounds; when the slope
     keeps its sign there, the bracket extends to the bound it points at, and
-    that bound is the optimum when the slope keeps its sign up to it.  The
-    root finder returns a waist it evaluated, so a beam at ``w_opt`` reuses
-    the first pass cached for it.
+    that bound is the optimum when the slope keeps its sign up to it.  Every
+    slope is taken on one ``_layout``, that of the bracket's upper waist,
+    whose Gaussian cut is the widest the bracket needs; a bracket that
+    extends up to 5a takes 5a's.  The root finder returns a waist it
+    evaluated; its overlap fills the beam's ``_starting_panels`` entry.
     """
     a = fiber.core_radius_um
     lo, hi = 0.2 * a, 5.0 * a
@@ -409,17 +466,19 @@ def optimize_waist(
     x0, x1 = max(0.97 * w_fit, lo), min(1.03 * w_fit, hi)
     if not x0 < x1:
         x0, x1 = lo, hi
-    g0, g1 = _stationarity(x0, fiber, mode), _stationarity(x1, fiber, mode)
+    layout = _layout(x1, fiber, mode)
+    g0, g1 = _stationarity(x0, layout), _stationarity(x1, layout)
     if g1 > 0.0 and x1 < hi:  # still rising: the optimum lies above the bracket
-        x0, g0, x1, g1 = x1, g1, hi, _stationarity(hi, fiber, mode)
+        layout = _layout(hi, fiber, mode)
+        x0, g0, x1, g1 = x1, g1, hi, _stationarity(hi, layout)
     elif g0 < 0.0 and x0 > lo:  # already falling: it lies below
-        x0, g0, x1, g1 = lo, _stationarity(lo, fiber, mode), x0, g0
+        x0, g0, x1, g1 = lo, _stationarity(lo, layout), x0, g0
     if g1 > 0.0:
         w_opt = hi
     elif g0 < 0.0:
         w_opt = lo
     else:
-        w_opt = _falsi_root(lambda w: _stationarity(w, fiber, mode), x0, x1, g0, g1)
+        w_opt = _falsi_root(lambda w: _stationarity(w, layout), x0, x1, g0, g1)
     return w_opt, _overlap_from_waist(w_opt, fiber, mode)
 
 

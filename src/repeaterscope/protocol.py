@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import metrics
 from .cascade import CascadeSchedule, end_pairs_bound, run_cascade_batch
 from .channel import LinkBudget, MediumProfile, select_wavelength
@@ -188,15 +190,25 @@ def evaluate_chain(config: ProtocolConfig) -> PerformancePoint:
 def skr_bounds(
     config: ProtocolConfig, choices: Sequence[tuple[int, float]], key: float
 ) -> list[float]:
-    """Each chain's SKR upper bound ``pi0 * key / 2**n``, formed as
-    ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves it).
+    """Each chain's SKR upper bound ``pi0 * s_0**(2**n - 1) * key / 2**n``,
+    formed as ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves
+    it with the depth factor).
 
-    At the schedule's key fraction a computed ``skr_pcu`` stays within 1e-12
-    relative of the bound.  A key fraction is at most 1, so ``key=1.0``
-    gives a looser bound, never below the tight one, that needs no schedule.
+    ``s_0 = -expm1(m log1p(-pi0))`` is the level-0 survival, formed as the
+    recursion forms it.  At the schedule's key fraction a computed
+    ``skr_pcu`` stays within 1e-12 relative of the bound.  A key fraction is
+    at most 1, so ``key=1.0`` gives a looser bound, never below the tight
+    one, that needs no schedule.
     """
-    channel_uses = config.m * (1 << config.n)
-    return [end_pairs_bound(config.m, pi0) * key / channel_uses for _, pi0 in choices]
+    links = 1 << config.n
+    channel_uses = config.m * links
+    pi0 = np.array([p for _, p in choices], dtype=np.float64)
+    with np.errstate(divide="ignore"):  # pi0 = 1: no link fails
+        survive = (-np.expm1(config.m * np.log1p(-pi0))) ** (links - 1)
+    return [
+        end_pairs_bound(config.m, p) * s * key / channel_uses
+        for p, s in zip(pi0.tolist(), survive.tolist())
+    ]
 
 
 # rows of one ``run_cascade_batch`` call: a batch holds a (rows, m + 1)

@@ -82,8 +82,9 @@ def level_means(batch, schedule, pi0):
 
 
 def assert_end_pairs_bounded(batch, schedule, pi0):
-    """Every live row delivers at most ``m * pi0`` end pairs, and mu_i never
-    grows from one level to the next, up to rounding."""
+    """Every live row delivers at most ``m * pi0`` end pairs, and at most
+    ``m * pi0 * s_0**(2**n - 1)``; mu_i never grows from one level to the
+    next, up to rounding."""
     slack = 1e-12
     means = level_means(batch, schedule, pi0)
     for b, p in enumerate(pi0):
@@ -91,6 +92,10 @@ def assert_end_pairs_bounded(batch, schedule, pi0):
             continue
         bound = end_pairs_bound(schedule.m, p)
         assert batch.expected_end_pairs[b] <= bound * (1.0 + slack)
+        with np.errstate(divide="ignore", under="ignore"):
+            survive = -np.expm1(schedule.m * np.log1p(-p))
+            depth = survive ** ((1 << schedule.n) - 1)
+        assert batch.expected_end_pairs[b] <= bound * depth * (1.0 + slack)
         assert means[b, 0] <= bound * (1.0 + slack)
         for i in range(schedule.n):
             assert means[b, i + 1] <= means[b, i] * (1.0 + slack), (i, means[b])

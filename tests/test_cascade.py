@@ -161,6 +161,23 @@ class TestThinning:
         out = _thin_rows(delta(1), 0.9, cap=1)[0]
         assert out[0] == pytest.approx(1.0)
 
+    def test_a_row_without_mass_does_not_size_the_table(self, monkeypatch):
+        # a certain reset leaves a NaN or all-zero row; the live row's last
+        # group with mass is group 2, so the table needs three rows
+        sizes = []
+        table = cascade._thinning_table
+        monkeypatch.setattr(
+            cascade, "_thinning_table", lambda rows, cap, d: sizes.append(rows) or table(rows, cap, d)
+        )
+        live = np.zeros((1, 17))
+        live[0, 4] = 1.0
+        rows = np.vstack((live, np.full(17, np.nan), np.zeros(17)))
+        with np.errstate(invalid="ignore"):
+            out = _thin_rows(rows, 0.5, cap=8)
+        assert sizes == [3]
+        assert out[0].tolist() == _thin_rows(live, 0.5, cap=8)[0].tolist()
+        assert np.isnan(out[1:]).all()
+
     @given(count_distribution(), st.floats(0.0, 1.0))
     @settings(max_examples=50)
     def test_matches_direct_sum(self, probs, d):

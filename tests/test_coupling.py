@@ -364,9 +364,9 @@ class TestOverlap:
         slopes = []
         stationarity = coupling._stationarity
 
-        def counting(waist, *args):
+        def counting(waist, layout):
             slopes.append(waist)
-            return stationarity(waist, *args)
+            return stationarity(waist, layout)
 
         monkeypatch.setattr(coupling, "_stationarity", counting)
         w_opt, _ = optimize_waist(fiber, mode)
@@ -398,16 +398,25 @@ class TestOverlap:
         a = FIBER.core_radius_um
         root = root_over_a * a
         w_fit = a * (0.65 + 1.619 * MODE.v**-1.5 + 2.879 * MODE.v**-6)
-        slopes = []
+        slopes, layouts = [], []
+        layout = coupling._layout
 
-        def slope(waist, fiber, mode):
+        def slope(waist, layout):
             slopes.append(waist)
             return root - waist
 
+        def counting(waist, *args):
+            layouts.append(waist)
+            return layout(waist, *args)
+
         monkeypatch.setattr(coupling, "_stationarity", slope)
+        monkeypatch.setattr(coupling, "_layout", counting)
         w_opt, _ = optimize_waist(FIBER, MODE)
         bound = 5.0 * a if root_over_a > 1.0 else 0.2 * a
         assert slopes[:3] == [0.97 * w_fit, 1.03 * w_fit, bound]
+        # one layout per bracket, that of its upper waist: a bracket that
+        # extends up to 5a takes a second one
+        assert layouts == [1.03 * w_fit, bound] if root_over_a > 1.0 else [1.03 * w_fit]
         assert len(slopes) == evaluations
         if 0.2 <= root_over_a <= 5.0:
             assert w_opt in slopes
@@ -460,36 +469,44 @@ class TestTilt:
             tilted_eta(GaussianBeam(8.0, 1550.0), FIBER, MODE, 0.6)
 
     def test_tilt_scan_reuses_the_beams_starting_panels(self, monkeypatch):
-        evaluated = []
-        node_builds = []
-        beam_integrand = coupling._beam_integrand
-        panel_nodes = coupling._panel_nodes
+        fields, node_builds, slopes = [], [], []
+        field, panel_nodes = coupling._field, coupling._panel_nodes
+        stationarity = coupling._stationarity
 
-        def counting(r, waist, *args):
-            evaluated.append(waist)
-            return beam_integrand(r, waist, *args)
+        def counting_field(r, *args):
+            fields.append(r.shape)
+            return field(r, *args)
 
         def counting_nodes(lo, hi):
             node_builds.append(lo.size)
             return panel_nodes(lo, hi)
 
-        monkeypatch.setattr(coupling, "_beam_integrand", counting)
+        def counting_slope(waist, layout):
+            slopes.append(waist)
+            return stationarity(waist, layout)
+
+        monkeypatch.setattr(coupling, "_field", counting_field)
         monkeypatch.setattr(coupling, "_panel_nodes", counting_nodes)
+        monkeypatch.setattr(coupling, "_stationarity", counting_slope)
         coupling._starting_panels.cache_clear()
         w_opt, _ = optimize_waist(FIBER, MODE)
-        searched, built = len(evaluated), len(node_builds)
+        searched, built = len(fields), len(node_builds)
         beam = GaussianBeam(w_opt, 1550.0)
         for theta in np.linspace(0.0, 0.05, 26):
             tilted_eta(beam, FIBER, MODE, float(theta))
-        # one first pass, nodes and field, per waist the search tried; the
-        # optimum is one of them, so none of the 26 tilts builds nodes or
-        # evaluates the field again.  A refinement pass would evaluate the
-        # field, so every node build counted here is a first pass's.
-        assert searched == 8
-        assert built == 8
-        assert w_opt in evaluated
-        assert len(evaluated) == searched
+        # the field on one layout for the whole search, whose bracket does
+        # not extend to 5a, and once more on the first pass of w_opt, a waist
+        # the search tried; none of the 26 tilts builds nodes or evaluates
+        # the field again.  A refinement pass would evaluate the field, so
+        # every node build counted here is a first pass's.
+        assert len(slopes) == 8
+        assert w_opt in slopes
+        assert searched == 2
+        assert built == 2
+        assert fields == [(2, 72), (2, 72)]
+        assert len(fields) == searched
         assert len(node_builds) == built
+        assert coupling._starting_panels.cache_info().currsize == 1
 
 
 class TestFresnel:
@@ -603,16 +620,18 @@ def _reference_overlap(waist: float, a: float, mode: ModeSolution, q: float) -> 
 def integrate(fn, cuts) -> float:
     """``_gauss_legendre`` of ``fn`` from its first pass on the panels between the cuts."""
     lo, hi = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
-    return _gauss_legendre(fn, lo, hi, fn(coupling._panel_nodes(lo, hi)))
+    panels = coupling._panels_between(lo, hi)
+    return _gauss_legendre(fn, panels, fn(panels.nodes))
 
 
-def _array_gate(fn, lo, hi, f, floor=0.0) -> float:
+def _array_gate(fn, panels, f, floor=0.0) -> float:
     """``_gauss_legendre`` as it ran on numpy arrays, with numpy's sums.
 
     The float gate keeps its bits wherever no pass has more than two panels:
     the same matrix-vector products give the panel sums, and a two-term
     ``math.fsum`` rounds as numpy's sum of two does.
     """
+    lo, hi = panels.lo, panels.hi
     start, end = lo[0], hi[-1]
     span = end - start
     half = 0.5 * (hi - lo)
@@ -646,15 +665,15 @@ class TestQuadrature:
         widest, passes = {}, {}
         float_gate = coupling._gauss_legendre
 
-        def tracking(fn, lo, hi, first, floor=0.0):
+        def tracking(fn, panels, first, floor=0.0):
             # the widest pass, in panels, and the number of passes
             def counted(r):
                 widest[key] = max(widest[key], r.shape[0])
                 passes[key] += 1
                 return fn(r)
 
-            widest[key], passes[key] = lo.size, 1
-            return float_gate(counted, lo, hi, first, floor)
+            widest[key], passes[key] = panels.lo.size, 1
+            return float_gate(counted, panels, first, floor)
 
         moved = {}
         for v in GRID_V:
@@ -687,9 +706,9 @@ class TestQuadrature:
                 mode = fiber_mode(fiber, wavelength)
                 a = fiber.core_radius_um
                 for waist in np.geomspace(0.2 * a, 5.0 * a, 25).tolist():
-                    lo, hi, nodes, first = coupling._starting_panels(waist, fiber, mode)
-                    assert lo.size == 2 and nodes.shape == first.shape == (2, 72)
-                    assert hi[0] == lo[1] == a
+                    panels, first, _ = coupling._starting_panels(waist, fiber, mode)
+                    assert panels.lo.size == 2 and panels.nodes.shape == first.shape == (2, 72)
+                    assert panels.hi[0] == panels.lo[1] == a
 
     @pytest.mark.parametrize("wavelength", GRID_WAVELENGTHS)
     @pytest.mark.parametrize("v", GRID_V)
@@ -709,14 +728,14 @@ class TestQuadrature:
         passes = {}
         gauss_legendre = coupling._gauss_legendre
 
-        def counting(fn, lo, hi, first):
+        def counting(fn, panels, first):
             # the handed first pass counts as one, each refinement as another
             def counted(r):
                 passes[key] += 1
                 return fn(r)
 
             passes[key] = passes.get(key, 0) + 1
-            return gauss_legendre(counted, lo, hi, first)
+            return gauss_legendre(counted, panels, first)
 
         def plain(waist, fiber, mode, q):
             # the overlap evaluated with no cache: every pass calls mode_field
@@ -724,8 +743,8 @@ class TestQuadrature:
                 val = mode_field(r, fiber, mode) * np.exp(-((r / waist) ** 2)) * r
                 return val * j0(q * r) if q != 0.0 else val
 
-            lo, hi, nodes, _ = coupling._starting_panels(waist, fiber, mode)
-            num = gauss_legendre(integrand, lo, hi, integrand(nodes))
+            panels = coupling._starting_panels(waist, fiber, mode).panels
+            num = gauss_legendre(integrand, panels, integrand(panels.nodes))
             gauss_norm = 0.25 * waist**2 * -math.expm1(-2.0 * _TAIL_CUT)
             return min(num * num / (_fiber_norm(fiber, mode) * gauss_norm), 1.0)
 
@@ -790,7 +809,7 @@ class TestQuadrature:
                 integrate(fn, cuts)
 
     def test_couple_exits_3_on_quadrature_failure(self, monkeypatch, tmp_path, capsys):
-        def fail(fn, lo, hi, first, floor=0.0):
+        def fail(fn, panels, first, floor=0.0):
             raise QuadratureError("forced")
 
         monkeypatch.setattr(coupling, "_gauss_legendre", fail)

@@ -8,7 +8,8 @@ which is the cancelling difference ``1 - scaled_total``.
 
 ``couple_<wavelength>.csv`` hold the output of ``repeaterscope couple
 --wavelength <wavelength>`` at its default 26 tilt angles; the angle and the
-HCF constant must match exactly, ``eta_smf_1550`` to a relative 1e-12.
+HCF constant must match exactly, ``eta_smf_<wavelength>`` to a relative
+1e-12.
 
 Run ``PYTHONPATH=src python tests/test_goldens.py [name ...]`` to write a
 missing golden file or, for a change that is meant to move outputs, to
@@ -187,7 +188,11 @@ def test_fig5_meets_the_recursion_on_50_digit_generation_rows(monkeypatch):
 
 
 COUPLE_WAVELENGTHS = ("1550", "780")
-COUPLE_FLOAT_COLUMNS = frozenset({"eta_smf_1550"})
+
+
+def _couple_column(wavelength: str) -> str:
+    """The tilted-coupling column, named after the run's wavelength."""
+    return f"eta_smf_{wavelength}"
 
 
 def _couple_csv(wavelength: str) -> str:
@@ -200,7 +205,8 @@ def _couple_csv(wavelength: str) -> str:
 @pytest.mark.parametrize("wavelength", COUPLE_WAVELENGTHS)
 def test_couple_matches_golden(wavelength):
     golden = _parse((GOLDEN_DIR / f"couple_{wavelength}.csv").read_text())
-    moves = row_moves(golden, _parse(_couple_csv(wavelength)), COUPLE_FLOAT_COLUMNS)
+    float_columns = frozenset({_couple_column(wavelength)})
+    moves = row_moves(golden, _parse(_couple_csv(wavelength)), float_columns)
     assert not moves, f"{len(moves)} cells outside tolerance: {moves[:10]}"
 
 
@@ -217,12 +223,10 @@ def test_couple_stays_well_inside_tolerance_under_one_ulp_slope_noise(wavelength
         return math.nextafter(stationarity(*args), rng.choice((-math.inf, math.inf)))
 
     monkeypatch.setattr(coupling, "_stationarity", noisy)
+    column = _couple_column(wavelength)
     for _ in range(5):
         rows = _parse(_couple_csv(wavelength))
-        moves = [
-            cell_move("eta_smf_1550", g["eta_smf_1550"], r["eta_smf_1550"], COUPLE_FLOAT_COLUMNS)
-            for g, r in zip(golden, rows)
-        ]
+        moves = [cell_move(column, g[column], r[column], {column}) for g, r in zip(golden, rows)]
         assert max(moves) <= 0.1
 
 

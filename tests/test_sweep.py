@@ -425,10 +425,10 @@ class TestPrunedDepthScan:
         "name,evaluated",
         [
             ("fig3", 1000),
-            ("fig5", 459),
-            ("fig6", 1250),
-            ("fig8", 425),
-            pytest.param("skr_curves", 2455, marks=pytest.mark.slow),
+            ("fig5", 457),
+            ("fig6", 864),
+            ("fig8", 422),
+            pytest.param("skr_curves", 2442, marks=pytest.mark.slow),
         ],
     )
     def test_evaluates_the_point_depths_of_the_eager_scan(self, monkeypatch, name, evaluated):
@@ -445,7 +445,7 @@ class TestPrunedDepthScan:
 
     def test_fig5_skips_most_batched_recursions(self, monkeypatch):
         # 20 groups x 11 depths: a scan that plans every depth builds 220
-        # schedules, and the eager per-group scan runs its 257 rows in 56
+        # schedules, and the eager per-group scan runs its 256 rows in 56
         # batched calls
         calls, schedules = [], []
         real_batch, real_schedule = protocol.run_cascade_batch, protocol.build_schedule
@@ -463,7 +463,7 @@ class TestPrunedDepthScan:
         print(f"fig5: {len(schedules)} schedules, {len(calls)} batched calls, {len(rows)} rows")
         assert len(schedules) == 104
         assert len(calls) <= 34
-        assert len(rows) == 257
+        assert len(rows) == 256
         # a row is the same whatever batch runs it, so the sweep runs each once
         assert len(set(rows)) == len(rows)
 
