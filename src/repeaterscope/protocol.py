@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import metrics
 from .cascade import CascadeSchedule, end_pairs_bound, run_cascade_batch
 from .channel import LinkBudget, MediumProfile, select_wavelength
@@ -202,13 +200,12 @@ def skr_bounds(
     """
     links = 1 << config.n
     channel_uses = config.m * links
-    pi0 = np.array([p for _, p in choices], dtype=np.float64)
-    with np.errstate(divide="ignore"):  # pi0 = 1: no link fails
-        survive = (-np.expm1(config.m * np.log1p(-pi0))) ** (links - 1)
-    return [
-        end_pairs_bound(config.m, p) * s * key / channel_uses
-        for p, s in zip(pi0.tolist(), survive.tolist())
-    ]
+    out = []
+    for _, pi0 in choices:
+        # math.log1p(-1) raises; at pi0 = 1 every link survives
+        survive = -math.expm1(config.m * math.log1p(-pi0)) if pi0 < 1.0 else 1.0
+        out.append(end_pairs_bound(config.m, pi0) * survive ** (links - 1) * key / channel_uses)
+    return out
 
 
 # rows of one ``run_cascade_batch`` call: a batch holds a (rows, m + 1)
