@@ -7,16 +7,21 @@ of their counts.  The recursion follows the conditional distributions
 ``p_cond`` which, at each level, condition on at least one pair surviving
 per segment.
 
+Each level's rows are carried as their pmf ``p`` (``p[:, 0] = 0``) and upper
+tails ``T[:, k] = P(K >= k)`` (``T[:, 0] = T[:, 1] = 1``): the minimum of two
+i.i.d. counts has ``P(min = k) = p_k (T_k + T_{k+1})`` and ``P(min >= k) =
+T_k**2``, and a thinned row's tails are summed from the top, never 1 - sum.
+
 The per-level reset probabilities follow the termination bookkeeping in
 which a pairing of counts (0, 1) at a distilling level is excluded from the
 reset event, and levels without scheduled distillation never reset.  The
 pairing mass that this bookkeeping drops (instead of counting it as reset)
 is renormalized away and reported per level in ``mass_defect``.
 
-The recursion runs on ``(B, width + 1)`` arrays: one row per ``pi0`` of one
-``CascadeSchedule`` (depth, width and distillation schedule).  Each step is
-row-wise (elementwise arithmetic, per-row sums and products), so a row comes
-out bit for bit the same whatever else shares its batch.
+The recursion runs on ``(B, width + 1)`` arrays, one row per ``pi0`` of one
+``CascadeSchedule``.  Each step is elementwise, a cumulative sum along a row
+or a sum over a width fixed by the schedule, so a row comes out bit for bit
+the same whatever else shares its batch.
 """
 
 from __future__ import annotations
@@ -50,11 +55,13 @@ def _binomial_rows(n: int, p: np.ndarray) -> np.ndarray:
     p = _flush_subnormal(np.asarray(p, dtype=np.float64))
     rows = np.ones((len(p), n + 1))
     k = np.arange(n + 1.0)
-    for row, pi in zip(rows, p):
+    up, down = (n - k[:n]) / (k[:n] + 1), k[1:] / (n - k[1:] + 1)
+    for row, pi in zip(rows, p.tolist()):
         mode = min(int((n + 1) * pi), n)
-        up, down = k[mode:n], k[mode:0:-1]
-        row[mode + 1 :] = np.cumprod((n - up) * pi / ((up + 1) * (1 - pi)))
-        row[:mode] = np.cumprod(down * (1 - pi) / ((n - down + 1) * pi))[::-1]
+        if mode < n:
+            row[mode + 1 :] = np.cumprod(up[mode:] * (pi / (1 - pi)))
+        if mode:
+            row[:mode] = np.cumprod(down[mode - 1 :: -1] * ((1 - pi) / pi))[::-1]
     return rows / rows.sum(axis=1, keepdims=True)
 
 
@@ -73,10 +80,6 @@ def _thinning_table(rows: int, cap: int, d: float) -> np.ndarray:
         table[m + 1, :top] = (1.0 - d) * row[:top]
         table[m + 1, 1:top] += d * row[: top - 1]
     return table
-
-
-def _row_means(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return (probs * values).sum(axis=1)
 
 
 def _check_rows(probs: np.ndarray, dead: np.ndarray, what: str) -> None:
@@ -114,12 +117,18 @@ def _thin_rows(probs: np.ndarray, d: float, cap: int) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
-def _paired_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized min(K1, K2) of two i.i.d. segment counts drawn from each
-    row, and each row's upper tail."""
-    cum = np.cumsum(q, axis=1)
-    tail = cum[:, -1:] - cum  # sum_{j > k} q_j
-    return q * q + 2.0 * q * tail, tail
+def _tails(probs: np.ndarray) -> np.ndarray:
+    """Upper tails ``T[:, k] = P(K >= k)`` of each row, k = 0..width, summed
+    from the top; ``T[:, width]`` is 0."""
+    tails = np.zeros((len(probs), probs.shape[1] + 1))
+    np.cumsum(probs[:, ::-1], axis=1, out=tails[:, -2::-1])
+    return tails
+
+
+def _pair(probs: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min(K1, K2) of two i.i.d. counts with each row's pmf and upper tails:
+    ``P(min = k) = p_k (T_k + T_{k+1})`` and ``P(min >= k) = T_k**2``."""
+    return probs * (tails[:, :-1] + tails[:, 1:]), tails * tails
 
 
 def _init_rows(m: int, pi0):
@@ -128,8 +137,7 @@ def _init_rows(m: int, pi0):
     ``r0 = (1 - pi0)**m`` is the probability that a single link produces no
     pair, and the rows are the Binomial(m, pi0) count conditioned on at least
     one pair.  ``r0`` and the survival ``1 - r0`` both come from one
-    ``m * log1p(-pi0)``, so that the survival does not cancel when
-    ``m * pi0`` is small.
+    ``m * log1p(-pi0)``, so the survival does not cancel at small ``m pi0``.
     """
     pi0 = np.asarray(pi0, dtype=np.float64)
     kept = _binomial_rows(m, pi0)
@@ -140,33 +148,31 @@ def _init_rows(m: int, pi0):
         return np.exp(log_none), -np.expm1(log_none), kept / total[:, None], total <= 0.0
 
 
-def _level_rows(q: np.ndarray, distill_next: bool):
-    """One pairing level: ``(r, next rows, defect, mean min, failure codes)``.
+def _pair_thinned(q: np.ndarray, distill_next: bool):
+    """Pairing of thinned rows ``q``: ``(r, next rows, their tails,
+    P(min >= 1), defect, failure codes)``.
 
-    Pairs two segments of each row, counts the reset and renormalizes.  The
-    reset probability ``r`` counts the pairings (0, 0) and (0, >=2), and
-    only when a distillation is scheduled at the destination level
-    (``distill_next``); the (0, 1) pairing mass and, at non-distilling
-    levels, all zero-pairing mass is removed by renormalization and returned
-    as ``defect``.  Failure code 1 marks a certain reset, 2 a pairing that
-    keeps no pair.
+    ``r`` counts the pairings (0, 0) and (0, >=2) when the destination level
+    distills (``distill_next``), else none; the rest of the zero-pairing mass
+    is renormalized away as ``defect``.  Tails are divided by ``T[:, 1]``
+    before squaring, so a tiny ``T[:, 1]`` neither underflows nor overflows.
+    Failure code 1 marks a certain reset, 2 a pairing that keeps no pair.
     """
-    paired, tail = _paired_rows(q)
-    mean_min = _row_means(paired / paired.sum(axis=1, keepdims=True), np.arange(q.shape[1]))
-    if distill_next:
-        q1 = q[:, 1] if q.shape[1] > 1 else 0.0
-        r = q[:, 0] * q[:, 0] + 2.0 * q[:, 0] * (tail[:, 0] - q1)
-    else:
-        r = np.zeros(len(q))
+    tails = _tails(q)
+    t1 = tails[:, 1].copy()
+    r = q[:, 0] * q[:, 0] + 2.0 * q[:, 0] * tails[:, 2] if distill_next else np.zeros(len(q))
     survivor = 1.0 - r
-    paired[:, 0] = 0.0
-    total = paired.sum(axis=1)
+    kept = t1 * t1
     with np.errstate(divide="ignore", invalid="ignore"):  # failing rows turn NaN
-        scaled_total = total / survivor
-        nxt = paired / total[:, None]
+        tails[:, 1:] /= t1[:, None]
+        tails[:, 0] = 1.0
+        paired, tails = _pair(q, tails)
+        paired[:, 0] = 0.0
+        nxt = paired / paired.sum(axis=1, keepdims=True)
+        scaled_total = kept / survivor
     failure = np.where(survivor <= 0.0, 1, np.where(scaled_total <= 0.0, 2, 0))
     defect = np.maximum(1.0 - scaled_total, 0.0)
-    return r, nxt, defect, mean_min, failure
+    return r, nxt, tails, kept, defect, failure
 
 
 _LEVEL_FAILURES = (None, "reset occurs with probability one", "no pairing outcome keeps at least one pair")
@@ -210,16 +216,12 @@ class CascadeSchedule:
             raise ValueError("nesting depth must be non-negative")
         if self.m < 1:
             raise ValueError("multiplexing width must be at least 1")
-        flags = tuple(bool(f) for f in self.distill_flags)
-        if not flags:
-            flags = (False,) * (self.n + 1)
+        flags = tuple(bool(f) for f in self.distill_flags) or (False,) * (self.n + 1)
         if len(flags) != self.n + 1:
             raise ValueError("distill_flags must have one entry per level 0..n")
         if flags[self.n]:
             raise ValueError("no distillation is allowed at the top level")
-        succ = tuple(float(d) for d in self.distill_success)
-        if not succ:
-            succ = (1.0,) * (self.n + 1)
+        succ = tuple(float(d) for d in self.distill_success) or (1.0,) * (self.n + 1)
         if len(succ) != self.n + 1:
             raise ValueError("distill_success must have one entry per level 0..n")
         if any(not 0.0 <= d <= 1.0 for d in succ):
@@ -228,10 +230,8 @@ class CascadeSchedule:
         object.__setattr__(self, "distill_success", succ)
         for i, flag in enumerate(flags):
             if flag and self.level_width(i) < 2:
-                raise ValueError(
-                    f"level {i} schedules distillation but has width < 2; "
-                    "increase m or drop the flag"
-                )
+                raise ValueError(f"level {i} schedules distillation but has width < 2; "
+                                 "increase m or drop the flag")
 
     def level_width(self, level: int) -> int:
         """Channel capacity M_i available at a level, halved per prior distillation."""
@@ -260,7 +260,8 @@ class CascadeBatch:
     expected operations of a burst at level i: a scheduled distillation runs
     E[floor(k/2)] attempts per segment and every pairing performs
     min(left, right) swaps, weighted by the probability that no segment has
-    run dry before the level executes.  ``certain_reset[b]`` names why row b
+    run dry before the level executes; E[min] = sum_k T_k**2, E[floor(k/2)] =
+    sum_j T_{2j}, and a thinned row survives with ``T_1``.  ``certain_reset[b]`` names why row b
     resets with probability one, or is None.  Such a burst delivers nothing:
     its ``completion_prob``, ``expected_end_pairs``, ``mass_defect``,
     ``swaps`` and ``distill_attempts`` are zero, and its ``p_cond``, ``r``
@@ -276,7 +277,7 @@ class CascadeBatch:
 
     ``mass_defect[:, i]`` is the pairing mass at level i that the
     termination bookkeeping neither kept nor counted as reset, removed by
-    renormalization (zero whenever no distillation ran below).
+    renormalization; it is exactly zero at a level whose rows did not thin.
     """
 
     p_cond: tuple[np.ndarray, ...]
@@ -351,7 +352,7 @@ def end_pairs_bound(m: int, pi0: float) -> float:
     s_{i+1} <= s_i**2, so s_i <= s_0**(2**i), and chaining
     mu_{i+1} <= s_i mu_i from mu_0 = m pi0 gives
     ``expected_end_pairs`` <= m pi0 s_0**(2**n - 1).  The factor needs no
-    schedule; ``protocol.skr_bounds`` applies it.
+    schedule; ``protocol.end_pairs_bounds`` applies it.
     """
     return m * pi0
 
@@ -383,40 +384,39 @@ def run_cascade_batch(schedule: CascadeSchedule, pi0) -> CascadeBatch:
     r0, survive0, p, no_mass = _init_rows(m, pi0)
     fail(no_mass, lambda b: f"generation cannot reach the threshold 1 (m={m}, pi0={pi0[b]})")
     _check_rows(p, dead, "generation")
-    p_cond, r, survive, defects = [p], [r0], [survive0], [zeros]
+    tails = _tails(p)
+    tails /= tails[:, 1:2]  # T[:, 0] = T[:, 1] = 1 exactly
+    levels = [(p, r0, survive0, zeros)]  # each level's rows, r, 1 - r and defect
     swaps, attempts = [], []
     running = survive0**n_links
-    for i in range(n + 1):
-        segments = max(n_links >> i, 1)
-        q = p
+    for i in range(n):
+        segments = n_links >> i
+        # E[floor(K/2)] = sum_{j >= 1} P(K >= 2j)
+        attempts.append(running * segments * tails[:, 2::2].sum(axis=1) if flags[i] else zeros)
         if flags[i]:
-            attempts.append(running * segments * _row_means(p, np.arange(p.shape[1]) // 2))
             q = _thin_rows(p, schedule.distill_success[i], schedule.level_width(i) // 2)
             _check_rows(q, dead, f"distillation at level {i}")
-        else:
-            attempts.append(zeros)
-        if i == n:
-            swaps.append(zeros)
-            break
-        ri, p, defect, mean_min, failure = _level_rows(q, flags[i + 1])
-        fail(failure > 0, lambda b: _LEVEL_FAILURES[failure[b]])
+            ri, p, tails, kept, defect, failure = _pair_thinned(q, flags[i + 1])
+            fail(failure > 0, lambda b: _LEVEL_FAILURES[failure[b]])
+        else:  # no count is 0, so nothing resets or is dropped
+            p, tails = _pair(p, tails)
+            ri, kept, defect = zeros, 1.0, zeros
         _check_rows(p, dead, f"pairing into level {i + 1}")
-        swaps.append(running * (segments // 2) * mean_min)
-        running = running * ((1.0 - q[:, 0]) ** 2) ** (segments // 2)
-        p_cond.append(p)
-        r.append(ri)
-        survive.append(1.0 - ri)
-        defects.append(defect)
+        swaps.append(running * (segments // 2) * (kept * tails[:, 1:].sum(axis=1)))
+        running = running * kept ** (segments // 2)
+        levels.append((p, ri, 1.0 - ri, defect))
+    p_cond, r, survive, defects = zip(*levels)
     f, completion = _reset_rows(np.column_stack(survive), n_links)
     per_level = dead[:, None]
     return CascadeBatch(
-        p_cond=tuple(p_cond),
+        p_cond=p_cond,
         r=np.column_stack(r),
         f=f,
         completion_prob=np.where(dead, 0.0, completion),
-        expected_end_pairs=np.where(dead, 0.0, completion * _row_means(p, np.arange(p.shape[1]))),
+        expected_end_pairs=np.where(dead, 0.0, completion * tails[:, 1:].sum(axis=1)),
         mass_defect=np.where(per_level, 0.0, np.column_stack(defects)),
-        swaps=np.where(per_level, 0.0, np.column_stack(swaps)),
-        distill_attempts=np.where(per_level, 0.0, np.column_stack(attempts)),
+        # the top level neither thins nor pairs
+        swaps=np.where(per_level, 0.0, np.column_stack([*swaps, zeros])),
+        distill_attempts=np.where(per_level, 0.0, np.column_stack([*attempts, zeros])),
         certain_reset=tuple(failures),
     )

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from repeaterscope import coupling as cp
-from repeaterscope.cascade import CascadeConfig, _paired_rows, run_cascade_batch
+from repeaterscope.cascade import CascadeConfig, _pair, _tails, run_cascade_batch
 from repeaterscope.channel import (
     LinkBudget,
     MEMORY_NM,
@@ -340,7 +340,7 @@ def test_criterion_11_property_suites():
         width = int(rng.integers(1, 10))
         raw = rng.random(width) + 1e-9
         probs = raw / raw.sum()
-        paired, _ = _paired_rows(probs[None, :])
+        paired, _ = _pair(probs[None, :], _tails(probs[None, :]))
         out = paired[0] / paired[0].sum()
         checks.append(abs(out.sum() - 1.0) <= 1e-10)
         brute = np.zeros(width)

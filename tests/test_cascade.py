@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from repeaterscope.cascade import (
     _binomial_rows,
     _check_rows,
     _init_rows,
-    _level_rows,
-    _paired_rows,
+    _pair,
+    _pair_thinned,
     _reset_rows,
+    _tails,
     _thin_rows,
     end_pairs_bound,
     run_cascade_batch,
@@ -49,13 +51,14 @@ def delta(k: int) -> np.ndarray:
 
 def min_of_pair(probs: np.ndarray) -> np.ndarray:
     """min(K1, K2) of two i.i.d. counts drawn from ``probs``, normalized."""
-    paired, _ = _paired_rows(np.asarray(probs)[None, :])
+    rows = np.asarray(probs)[None, :]
+    paired, _ = _pair(rows, _tails(rows))
     return paired[0] / paired[0].sum()
 
 
 def level_update(probs, distill_next: bool):
     """``(r, next row, defect, failure code)`` of one pairing level."""
-    r, nxt, defect, _, failure = _level_rows(np.asarray(probs)[None, :], distill_next)
+    r, nxt, _, _, defect, failure = _pair_thinned(np.asarray(probs)[None, :], distill_next)
     return r[0], nxt[0], defect[0], failure[0]
 
 
@@ -210,6 +213,24 @@ class TestPairMinimum:
         for j1, j2 in itertools.product(range(len(probs)), repeat=2):
             brute[min(j1, j2)] += probs[j1] * probs[j2]
         assert aligned_tv(out, brute) < 1e-12
+
+    @given(count_distribution())
+    @settings(max_examples=50)
+    def test_tails_give_the_pmf_and_tails_of_the_minimum(self, probs):
+        # P(min = k) = p_k (T_k + T_{k+1}) and P(min >= k) = T_k**2 against a
+        # double loop over both counts
+        width = len(probs)
+        rows = probs[None, :]
+        tails = _tails(rows)
+        paired, squared = _pair(rows, tails)
+        brute_tails = [sum(probs[k:]) for k in range(width + 1)]
+        brute_min = np.zeros(width)
+        for j1, j2 in itertools.product(range(width), repeat=2):
+            brute_min[min(j1, j2)] += probs[j1] * probs[j2]
+        brute_at_least = [brute_min[k:].sum() for k in range(width + 1)]
+        assert np.abs(tails[0] - brute_tails).max() <= 1e-15
+        assert np.abs(paired[0] - brute_min).max() <= 1e-15
+        assert np.abs(squared[0] - brute_at_least).max() <= 1e-15
 
 
 class TestConditionalInit:
@@ -521,6 +542,40 @@ class TestRunCascadeBatch:
         monkeypatch.setattr(cascade, "_thinning_table", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError, match="distillation at level 0"):
             run_cascade_batch(self.SCHEDULE, [0.35])
+
+    @pytest.mark.parametrize(
+        "schedule, sums",
+        [
+            pytest.param(CascadeSchedule(n=6, m=64), 1, id="plain"),
+            pytest.param(SCHEDULE, 3, id="two-thinnings"),
+        ],
+    )
+    def test_one_cumulative_sum_at_generation_and_per_thinning(self, monkeypatch, schedule, sums):
+        # a level that does not thin pairs on the tails it holds, and drops
+        # no mass into the level above
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        batch = run_cascade_batch(schedule, [0.35, 0.02])
+        assert len(calls) == sums
+        above_plain = [i + 1 for i in range(schedule.n) if not schedule.distill_flags[i]]
+        assert not batch.mass_defect[:, above_plain].any()
+
+    def test_pairing_after_a_tiny_success_neither_warns_nor_resets(self):
+        # every link holds both pairs; level 3's one attempt succeeds with
+        # probability d, so its thinned tails are (1, d, 0), and the pairing
+        # keeps d**2, a subnormal
+        schedule = CascadeSchedule(
+            n=4, m=2, distill_flags=(False, False, False, True, False),
+            distill_success=(1.0, 1.0, 1.0, 2.79e-162, 1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_cascade_batch(schedule, [1.0])
+        assert batch.certain_reset == (None,)
+        assert batch.p_cond[-1][0].tolist() == [0.0, 1.0]
+        assert batch.mass_defect[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert batch.completion_prob[0] == batch.expected_end_pairs[0] == 1.0
 
     @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("pi0", [1e-15, 1e-13])

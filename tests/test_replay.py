@@ -157,21 +157,15 @@ def distilling(n: int, m: int, levels: dict[int, float]) -> CascadeSchedule:
     return CascadeSchedule(n, m, flags, tuple(levels.get(i, 1.0) for i in range(n + 1)))
 
 
-# the recursion forms 1 - q0 and each upper tail as 1 minus a running sum, which
-# cancels when a thinned row holds most of its mass at 0; swaps and
-# distill_attempts then miss the replay by up to 1 relative (a tail that
-# rounds to 0)
-PARENT_MISS = pytest.mark.xfail(strict=True, reason="operation counts cancel in 1 - q0")
-
 ROWS = [
     pytest.param(CascadeSchedule(0, 16), [1e-15, 0.3, 1.0], id="m16-n0"),
     pytest.param(CascadeSchedule(6, 16), [0.02, 0.4, 0.9], id="m16-n6"),
-    pytest.param(distilling(3, 16, {0: 0.9, 2: 0.85}), [0.02, 0.35, 0.9], marks=PARENT_MISS, id="m16-n3-distill"),
-    pytest.param(distilling(6, 16, {0: 0.7, 1: 0.9, 4: 0.95}), [0.3, 0.6], marks=PARENT_MISS, id="m16-n6-distill"),
+    pytest.param(distilling(3, 16, {0: 0.9, 2: 0.85}), [0.02, 0.35, 0.9], id="m16-n3-distill"),
+    pytest.param(distilling(6, 16, {0: 0.7, 1: 0.9, 4: 0.95}), [0.3, 0.6], id="m16-n6-distill"),
     pytest.param(CascadeSchedule(0, 1024), [1e-9, 0.0026, 0.3], id="m1024-n0"),
     pytest.param(CascadeSchedule(6, 1024), [0.001, 0.02, 0.5], id="m1024-n6"),
     pytest.param(distilling(4, 1024, {0: 0.9}), [0.004, 0.01], id="m1024-n4-distill"),
-    pytest.param(distilling(6, 1024, {0: 0.9, 2: 0.8, 5: 0.84}), [0.002, 0.02], marks=PARENT_MISS, id="m1024-n6-distill"),
+    pytest.param(distilling(6, 1024, {0: 0.9, 2: 0.8, 5: 0.84}), [0.002, 0.02], id="m1024-n6-distill"),
 ]
 
 # a fig6 row (HCF, eta_hardware 0.2) whose thinned rows hold almost all their
@@ -190,7 +184,6 @@ class TestReplay:
     def test_fields_meet_the_replay(self, schedule, pi0s):
         assert_within_bounds(replay_errors(schedule, pi0s))
 
-    @PARENT_MISS
     def test_fig6_row_meets_the_replay(self):
         assert_within_bounds(replay_errors(FIG6, FIG6_PI0))
 
@@ -199,7 +192,7 @@ class TestReplay:
         "schedule, pi0s",
         [
             (CascadeSchedule(3, 4096), [1e-6, 0.001, 0.2]),
-            pytest.param(distilling(6, 4096, {0: 0.9, 3: 0.85}), [0.0005, 0.004], marks=PARENT_MISS),
+            (distilling(6, 4096, {0: 0.9, 3: 0.85}), [0.0005, 0.004]),
         ],
     )
     def test_widest_rows_meet_the_replay(self, schedule, pi0s):
