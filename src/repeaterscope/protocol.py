@@ -185,27 +185,34 @@ def evaluate_chain(config: ProtocolConfig) -> PerformancePoint:
     return ChainPlan.from_trace(config, (choice,), build_schedule(config)).evaluate([0], {})[0]
 
 
-def skr_bounds(
-    config: ProtocolConfig, choices: Sequence[tuple[int, float]], key: float
-) -> list[float]:
-    """Each chain's SKR upper bound ``pi0 * s_0**(2**n - 1) * key / 2**n``,
-    formed as ``skr_pcu`` is, from ``cascade.end_pairs_bound`` (which proves
-    it with the depth factor).
+def end_pairs_bounds(config: ProtocolConfig, choices: Sequence[tuple[int, float]]) -> list[float]:
+    """Each chain's bound on ``expected_end_pairs`` at the config's depth,
+    ``m * pi0 * s_0**(2**n - 1)`` (``cascade.end_pairs_bound`` proves it with
+    the depth factor).
 
     ``s_0 = -expm1(m log1p(-pi0))`` is the level-0 survival, formed as the
-    recursion forms it.  At the schedule's key fraction a computed
-    ``skr_pcu`` stays within 1e-12 relative of the bound.  A key fraction is
-    at most 1, so ``key=1.0`` gives a looser bound, never below the tight
-    one, that needs no schedule.
+    recursion forms it.  The bound needs no schedule, so a sweep forms it
+    once per depth and keys it twice with ``skr_bounds``.
     """
     links = 1 << config.n
-    channel_uses = config.m * links
     out = []
     for _, pi0 in choices:
         # math.log1p(-1) raises; at pi0 = 1 every link survives
         survive = -math.expm1(config.m * math.log1p(-pi0)) if pi0 < 1.0 else 1.0
-        out.append(end_pairs_bound(config.m, pi0) * survive ** (links - 1) * key / channel_uses)
+        out.append(end_pairs_bound(config.m, pi0) * survive ** (links - 1))
     return out
+
+
+def skr_bounds(config: ProtocolConfig, end_pairs: Sequence[float], key: float) -> list[float]:
+    """Each chain's SKR upper bound ``pi0 * s_0**(2**n - 1) * key / 2**n``,
+    formed as ``skr_pcu`` is, from its ``end_pairs_bounds`` entry.
+
+    At the schedule's key fraction a computed ``skr_pcu`` stays within 1e-12
+    relative of the bound.  A key fraction is at most 1, so ``key=1.0`` gives
+    a looser bound, never below the tight one, that needs no schedule.
+    """
+    channel_uses = config.m * (1 << config.n)
+    return [bound * key / channel_uses for bound in end_pairs]
 
 
 # rows of one ``run_cascade_batch`` call: a batch holds a (rows, m + 1)

@@ -32,6 +32,7 @@ from .protocol import (
     RowOutcome,
     build_schedule,
     check_depth,
+    end_pairs_bounds,
     run_rows,
     skr_bounds,
 )
@@ -127,9 +128,10 @@ def _wins(skr: float, n: int, held: PerformancePoint | None) -> bool:
     return held is None or not (skr < held.skr_pcu or (skr == held.skr_pcu and n > held.n))
 
 
-# a depth of one group before planning: the config its points share and
-# each point's wavelength choice ``(wavelength_nm, pi0)``
-_Depth = tuple[ProtocolConfig, tuple[tuple[int, float], ...]]
+# a depth of one group before planning: the config its points share, each
+# point's wavelength choice ``(wavelength_nm, pi0)`` and its
+# ``end_pairs_bounds`` entry
+_Depth = tuple[ProtocolConfig, tuple[tuple[int, float], ...], list[float]]
 
 
 def _group_depths(
@@ -154,7 +156,7 @@ def _group_depths(
         ]
         config = ProtocolConfig(points[0][0], budgets[0], noise, n, m, f_th)
         choices = tuple(select_wavelength(p[0], budget) for p, budget in zip(points, budgets))
-        depths.append((config, choices))
+        depths.append((config, choices, end_pairs_bounds(config, choices)))
     return depths
 
 
@@ -182,9 +184,9 @@ def _next_depth(heap: list, best: list) -> tuple[ChainPlan, list[int]] | None:
         if live and plan:
             return plan, live
         if live:
-            config, choices = depth
+            config, choices, end_pairs = depth
             plan = ChainPlan.from_trace(config, choices, build_schedule(config))
-            _push(heap, depth, plan, skr_bounds(config, choices, plan.key))
+            _push(heap, depth, plan, skr_bounds(config, end_pairs, plan.key))
     return None
 
 
@@ -204,7 +206,7 @@ def _scan_depths(groups: Iterable[list[_Depth]]) -> list[list[PerformancePoint]]
     for depths in groups:
         heap: list = []
         for depth in depths:
-            _push(heap, depth, None, skr_bounds(*depth, key=1.0))
+            _push(heap, depth, None, skr_bounds(depth[0], depth[2], key=1.0))
         heaps.append(heap)
         best.append([None] * len(depths[0][1]))
     outcomes: dict[CascadeSchedule, dict[float, RowOutcome]] = {}

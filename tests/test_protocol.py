@@ -12,6 +12,7 @@ from repeaterscope.protocol import (
     ProtocolConfig,
     build_schedule,
     evaluate_chain,
+    end_pairs_bounds,
     skr_bounds,
     wait_time,
 )
@@ -208,10 +209,12 @@ class TestSkrBound:
     @example(make_config(m=1, n=12, l0=0.5))
     def test_skr_within_bound(self, config):
         plan = plan_of([config])
-        (loose,) = skr_bounds(config, plan.choices, key=1.0)
-        (bound,) = skr_bounds(config, plan.choices, plan.key)
+        end_pairs = end_pairs_bounds(config, plan.choices)
+        (loose,) = skr_bounds(config, end_pairs, key=1.0)
+        (bound,) = skr_bounds(config, end_pairs, plan.key)
         (point,) = plan.evaluate([0], {})
         assert 0.0 <= point.skr_pcu <= bound * (1.0 + 1e-12)
+        assert point.expected_end_pairs <= end_pairs[0] * (1.0 + 1e-12)
         assert bound <= loose
         assert point == evaluate_chain(config)
         _, pi0 = plan.choices[0]

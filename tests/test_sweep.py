@@ -353,7 +353,8 @@ def eager_best_depths(points, total_distance_km, t2_s, eps_g, f_th, m, n_range, 
             )
             for medium, conv, eta_hw in points
         ])
-        bounds = protocol.skr_bounds(plan.config, plan.choices, plan.key)
+        end_pairs = protocol.end_pairs_bounds(plan.config, plan.choices)
+        bounds = protocol.skr_bounds(plan.config, end_pairs, plan.key)
         top = max(math.inf if math.isnan(b) else b for b in bounds)
         scan.append((-top, n, plan, bounds))
     scan.sort(key=lambda entry: entry[:2])
@@ -527,7 +528,7 @@ class TestPrunedDepthScan:
         monkeypatch.setattr(
             sweep,
             "skr_bounds",
-            lambda config, choices, key: [1.0 + config.n] * len(choices),
+            lambda config, end_pairs, key: [1.0 + config.n] * len(end_pairs),
         )
         seen = record_point_depths(monkeypatch)
         n, _, point = optimize_depth(
