@@ -258,10 +258,10 @@ class CascadeBatch:
     Every array has one row per ``pi0``; per-level arrays have a column per
     level 0..n.  ``swaps[:, i]`` and ``distill_attempts[:, i]`` are the
     expected operations of a burst at level i: a scheduled distillation runs
-    E[floor(k/2)] attempts per segment and every pairing performs
-    min(left, right) swaps, weighted by the probability that no segment has
-    run dry before the level executes; E[min] = sum_k T_k**2, E[floor(k/2)] =
-    sum_j T_{2j}, and a thinned row survives with ``T_1``.  ``certain_reset[b]`` names why row b
+    E[floor(k/2)] = sum_j T_{2j} attempts per segment and every pairing
+    performs E[min(left, right)] = sum_k T_k**2 swaps, weighted by the
+    probability that no segment has run dry before the level executes (a
+    thinned row survives with ``T_1``).  ``certain_reset[b]`` names why row b
     resets with probability one, or is None.  Such a burst delivers nothing:
     its ``completion_prob``, ``expected_end_pairs``, ``mass_defect``,
     ``swaps`` and ``distill_attempts`` are zero, and its ``p_cond``, ``r``

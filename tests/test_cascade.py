@@ -550,7 +550,9 @@ class TestRunCascadeBatch:
             pytest.param(SCHEDULE, 3, id="two-thinnings"),
         ],
     )
-    def test_one_cumulative_sum_at_generation_and_per_thinning(self, monkeypatch, schedule, sums):
+    def test_one_cumulative_sum_at_generation_and_per_thinning(
+        self, monkeypatch, schedule, sums
+    ):
         # a level that does not thin pairs on the tails it holds, and drops
         # no mass into the level above
         calls = []
